@@ -11,7 +11,8 @@
 //     fast variant "behaves more like the standard algorithm: L_Z reduces
 //     execution times by 10-20%" relative to L_C. Rows give the interleaved
 //     Strassen under both layouts, plus the parallel-form ones for contrast.
-//   * Ablation_SpawnMinLevel: task granularity of the work-stealing runtime.
+//   * Ablation_SpawnGrain: the fork grain (MulContext::spawn_flops), i.e.
+//     task granularity of the work-stealing runtime.
 
 #include "bench_common.hpp"
 #include "core/recursion.hpp"
@@ -98,9 +99,9 @@ void Ablation_ZeroTileSkip(benchmark::State& state) {
   set_flops_counters(state, n);
 }
 
-void Ablation_SpawnMinLevel(benchmark::State& state) {
+void Ablation_SpawnGrain(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(pick_size(1024, 320));
-  const auto spawn_level = static_cast<int>(state.range(0));
+  const auto log2_grain = static_cast<int>(state.range(0));
   const unsigned threads = 4;
 
   Matrix a(n, n), b(n, n);
@@ -115,7 +116,7 @@ void Ablation_SpawnMinLevel(benchmark::State& state) {
   WorkerPool pool(threads);
   MulContext ctx;
   ctx.pool = &pool;
-  ctx.spawn_min_level = spawn_level;
+  ctx.spawn_flops = std::uint64_t{1} << log2_grain;
   for (auto _ : state) {
     tc.zero();
     mul_standard(ctx, tc.root(), ta.root(), tb.root());
@@ -154,9 +155,11 @@ void register_benchmarks() {
           ->MinTime(0.05);
     }
   }
-  for (int level = 1; level <= 4; ++level) {
-    benchmark::RegisterBenchmark("Ablation_SpawnMinLevel", Ablation_SpawnMinLevel)
-        ->Arg(level)
+  // On 16-wide tiles, 2^(13+3L) is the classical work of a level-L node:
+  // forking from level 2, 3, 4 (the default) and 5.
+  for (int log2_grain = 19; log2_grain <= 28; log2_grain += 3) {
+    benchmark::RegisterBenchmark("Ablation_SpawnGrain", Ablation_SpawnGrain)
+        ->Arg(log2_grain)
         ->Unit(benchmark::kMillisecond)
         ->MinTime(0.05);
   }

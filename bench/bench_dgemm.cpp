@@ -4,8 +4,9 @@
 // n = 1536 — versus the factor ≈ 8 Frens & Wise reported for element-level
 // quad-tree recursion.
 //
-// Stand-ins here (no vendor BLAS offline): the flat register-blocked kernel
-// plays native dgemm; an element-level (t = 1) run plays Frens–Wise. The
+// Stand-ins here (no vendor BLAS offline): the flat Simd kernel (the
+// recursion's own leaf, cache-blocked over the whole matrix) plays native
+// dgemm; an element-level (t = 1) run plays Frens–Wise. The
 // orderings to reproduce: recursive/tiled ≈ small factor of flat;
 // element-level ≫ tiled.
 

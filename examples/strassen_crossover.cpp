@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
     rla::Timer timer;
     c.zero();
-    rla::leaf_mm(rla::KernelKind::Blocked4x4, n, n, n, 1.0, a.data(), a.ld(),
+    rla::leaf_mm(rla::KernelKind::Simd, n, n, n, 1.0, a.data(), a.ld(),
                  b.data(), b.ld(), c.data(), c.ld());
     const double flat = timer.seconds();
 

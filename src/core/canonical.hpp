@@ -24,7 +24,7 @@
 namespace rla {
 
 struct CanonContext {
-  KernelKind kernel = KernelKind::TiledUnrolled;
+  KernelKind kernel = KernelKind::Simd;
   StandardVariant standard_variant = StandardVariant::Temporaries;
   FastVariant fast_variant = FastVariant::Parallel;
   std::uint32_t leaf = 32;       ///< recurse until every dimension <= leaf

@@ -25,6 +25,8 @@ std::string_view kernel_name(KernelKind k) noexcept {
       return "tiled-unrolled";
     case KernelKind::Blocked4x4:
       return "blocked4x4";
+    case KernelKind::Simd:
+      return "simd";
   }
   return "?";
 }

@@ -24,17 +24,22 @@ enum class Algorithm : std::uint8_t {
   Winograd,  ///< 7 multiplies + 15 adds (minimum possible)
 };
 
-/// How the standard algorithm arranges its 8 products.
+/// How the standard algorithm arranges its 8 products. On the tiled
+/// layouts the variant governs nodes at or above the fork grain
+/// (MulContext::spawn_flops); smaller nodes always run InPlace serially.
 enum class StandardVariant : std::uint8_t {
   /// Paper Fig. 1(a): all 8 products spawned at once, the second four into
   /// quadrant-sized temporaries, followed by 4 post-additions.
   Temporaries,
   /// Two phases of 4 accumulating products; no temporaries, half the
-  /// one-level parallelism (ablation of the paper's choice).
+  /// one-level parallelism (ablation of the paper's choice, and the serial
+  /// form below the fork grain).
   InPlace,
 };
 
-/// How the fast algorithms organize their seven products.
+/// How the fast algorithms organize their seven products. On the tiled
+/// layouts Parallel governs nodes at or above the fork grain
+/// (MulContext::spawn_flops); smaller nodes always run SerialLowMem.
 enum class FastVariant : std::uint8_t {
   /// Paper §2: all pre-additions, then all seven products spawned in
   /// parallel, then the post-additions — maximum parallelism, temporaries
@@ -44,15 +49,21 @@ enum class FastVariant : std::uint8_t {
   /// interspersed with the pre- and post-additions, reusing one S, one T
   /// and one P buffer. No parallelism, far less memory; the paper observes
   /// it "behaves more like the standard algorithm" with respect to layouts.
+  /// Also the serial form below the fork grain.
   SerialLowMem,
 };
 
-/// Leaf-level multiply kernel tiers (stand-ins for the paper's Fig. 7
-/// compiler/BLAS tiers; see DESIGN.md).
+/// Leaf-level multiply kernel tiers. The first three are stand-ins for the
+/// paper's Fig. 7 compiler/BLAS tiers; Simd is the production leaf (see
+/// DESIGN.md §6).
 enum class KernelKind : std::uint8_t {
   Naive,          ///< textbook jik dot-product loop
   TiledUnrolled,  ///< the paper's C kernel: tiled loops, k unrolled 4-way
   Blocked4x4,     ///< register-blocked 4x4 micro-kernel ("native BLAS" tier)
+  /// Register-blocked vector micro-kernel (two vectors of rows by kNr
+  /// columns) in compiler vector extensions, as wide as the build's -march;
+  /// no packing, since leaf tiles are already contiguous. The default.
+  Simd,
 };
 
 std::string_view algorithm_name(Algorithm a) noexcept;
@@ -120,7 +131,7 @@ struct GemmConfig {
   std::function<AlignedBuffer<double>(std::size_t)> acquire_scratch;
   std::function<void(AlignedBuffer<double>&&)> release_scratch;
 
-  KernelKind kernel = KernelKind::TiledUnrolled;
+  KernelKind kernel = KernelKind::Simd;
 
   /// Use the generic (mapping-array) path for *all* quadrant additions
   /// instead of the streaming / Gray-half-step fast paths; ablation knob for

@@ -1,5 +1,9 @@
 #include "core/kernels.hpp"
 
+#include <algorithm>
+#include <array>
+#include <utility>
+
 #include "analysis/annotations.hpp"
 #include "analysis/numerics/shadow.hpp"
 
@@ -109,6 +113,150 @@ void mm_blocked4x4(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alp
   }
 }
 
+// ---- Simd: a register-blocked micro-kernel in GCC/Clang vector extensions.
+// The vector width follows the build's -march (no intrinsics, no runtime
+// dispatch); the register block is sized to the register file: kMr = two
+// vectors of rows by kNr columns of accumulators, plus two A vectors and
+// one broadcast B value.
+#if defined(__AVX512F__)
+constexpr std::uint32_t kVec = 8;  // zmm; 16x8 block: 16 of 32 registers,
+constexpr std::uint32_t kNr = 8;   // and 8 columns divide 16-, 24-, 32-wide tiles
+#elif defined(__AVX__)
+constexpr std::uint32_t kVec = 4;  // ymm; 8x6 block: 12 of 16 registers
+constexpr std::uint32_t kNr = 6;
+#else
+constexpr std::uint32_t kVec = 2;  // xmm / NEON; 4x6 block
+constexpr std::uint32_t kNr = 6;
+#endif
+constexpr std::uint32_t kMr = 2 * kVec;
+// Cache blocking for calls larger than a leaf tile: a kKc x kNr B
+// micro-panel stays in L1 while the micro-kernel walks a kMc x kKc A block
+// held in L2. Leaf tiles (edges <= 32) are one block.
+constexpr std::uint32_t kKc = 256;
+constexpr std::uint32_t kMc = 6 * kMr;
+
+typedef double Vec __attribute__((vector_size(kVec * sizeof(double))));
+
+// Unaligned vector access: tiles are cache-line aligned, but canonical
+// leaves and ragged tiles are not, and the result must not depend on where
+// an operand happens to sit.
+inline Vec load_vec(const double* p) noexcept {
+  Vec v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store_vec(double* p, Vec v) noexcept { __builtin_memcpy(p, &v, sizeof v); }
+
+/// C (NV*kVec x NR, ldc) += alpha * A (NV*kVec x k, lda) * B (k x NR, ldb).
+/// Every C element is one k-ordered FMA chain followed by c + alpha*acc, so
+/// its value depends only on the operands, never on the block it sits in.
+template <int NV, int NR>
+void micro(std::uint32_t k, double alpha, const double* a, std::size_t lda,
+           const double* b, std::size_t ldb, double* c, std::size_t ldc) noexcept {
+  // rla-lint: covered-by-caller (leaf_mm annotates a, b, c for every variant)
+  Vec acc[NR][NV] = {};
+  for (std::uint32_t l = 0; l < k; ++l) {
+    const double* al = a + static_cast<std::size_t>(l) * lda;
+    Vec av[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) av[v] = load_vec(al + static_cast<std::size_t>(v) * kVec);
+#pragma GCC unroll 16
+    for (int j = 0; j < NR; ++j) {
+      const double bv = b[static_cast<std::size_t>(j) * ldb + l];
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) acc[j][v] += av[v] * bv;
+    }
+  }
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      double* cj = c + static_cast<std::size_t>(j) * ldc + static_cast<std::size_t>(v) * kVec;
+      store_vec(cj, load_vec(cj) + alpha * acc[j][v]);
+    }
+  }
+}
+
+using MicroFn = void (*)(std::uint32_t, double, const double*, std::size_t,
+                         const double*, std::size_t, double*, std::size_t) noexcept;
+
+template <int NV, std::size_t... R>
+constexpr std::array<MicroFn, sizeof...(R)> column_edges(std::index_sequence<R...>) {
+  return {&micro<NV, static_cast<int>(R) + 1>...};
+}
+
+/// One NV-vector row strip of an nb-column block (nb <= kNr): the full
+/// block inlines, a column remainder goes through its own instantiation.
+template <int NV>
+void micro_cols(std::uint32_t nb, std::uint32_t k, double alpha, const double* a,
+                std::size_t lda, const double* b, std::size_t ldb, double* c,
+                std::size_t ldc) noexcept {
+  static constexpr std::array<MicroFn, kNr> kEdges =
+      column_edges<NV>(std::make_index_sequence<kNr>());
+  if (nb == kNr) {
+    micro<NV, kNr>(k, alpha, a, lda, b, ldb, c, ldc);
+  } else {
+    kEdges[nb - 1](k, alpha, a, lda, b, ldb, c, ldc);
+  }
+}
+
+/// Rows [0, mb) of one nb-column block: two-vector strips, then one vector,
+/// then fewer than kVec rows run as one vector on copies padded with their
+/// last row, so the padding lanes repeat real arithmetic (no spurious IEEE
+/// flags) and are dropped on the way back.
+void simd_block(std::uint32_t mb, std::uint32_t nb, std::uint32_t k, double alpha,
+                const double* a, std::size_t lda, const double* b, std::size_t ldb,
+                double* c, std::size_t ldc) noexcept {
+  // rla-lint: covered-by-caller (leaf_mm annotates a, b, c for every variant)
+  std::uint32_t i = 0;
+  for (; i + kMr <= mb; i += kMr) micro_cols<2>(nb, k, alpha, a + i, lda, b, ldb, c + i, ldc);
+  if (i + kVec <= mb) {
+    micro_cols<1>(nb, k, alpha, a + i, lda, b, ldb, c + i, ldc);
+    i += kVec;
+  }
+  if (i == mb) return;
+  const std::uint32_t r = mb - i;
+  double ap[kVec * kKc];
+  double cp[kVec * kNr];
+  for (std::uint32_t l = 0; l < k; ++l) {
+    const double* al = a + static_cast<std::size_t>(l) * lda + i;
+    double* apl = ap + static_cast<std::size_t>(l) * kVec;
+    for (std::uint32_t v = 0; v < kVec; ++v) apl[v] = al[std::min(v, r - 1)];
+  }
+  for (std::uint32_t j = 0; j < nb; ++j) {
+    const double* cj = c + static_cast<std::size_t>(j) * ldc + i;
+    double* cpj = cp + static_cast<std::size_t>(j) * kVec;
+    for (std::uint32_t v = 0; v < kVec; ++v) cpj[v] = cj[std::min(v, r - 1)];
+  }
+  micro_cols<1>(nb, k, alpha, ap, kVec, b, ldb, cp, kVec);
+  for (std::uint32_t j = 0; j < nb; ++j) {
+    double* cj = c + static_cast<std::size_t>(j) * ldc + i;
+    const double* cpj = cp + static_cast<std::size_t>(j) * kVec;
+    for (std::uint32_t v = 0; v < r; ++v) cj[v] = cpj[v];
+  }
+}
+
+/// The vector tier: no packing, because a leaf tile is already a contiguous
+/// column-major block; any ld works, so canonical leaves share the kernel.
+void mm_simd(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
+             const double* a, std::size_t lda, const double* b, std::size_t ldb,
+             double* c, std::size_t ldc) noexcept {
+  // rla-lint: covered-by-caller (leaf_mm annotates a, b, c for every variant)
+  for (std::uint32_t kk = 0; kk < k; kk += kKc) {
+    const std::uint32_t kb = std::min(kKc, k - kk);
+    for (std::uint32_t ii = 0; ii < m; ii += kMc) {
+      const std::uint32_t mb = std::min(kMc, m - ii);
+      for (std::uint32_t j = 0; j < n; j += kNr) {
+        simd_block(mb, std::min(kNr, n - j), kb, alpha,
+                   a + static_cast<std::size_t>(kk) * lda + ii, lda,
+                   b + static_cast<std::size_t>(j) * ldb + kk, ldb,
+                   c + static_cast<std::size_t>(j) * ldc + ii, ldc);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // rla-hotpath
@@ -136,6 +284,9 @@ void leaf_mm(KernelKind kind, std::uint32_t m, std::uint32_t n, std::uint32_t k,
       break;
     case KernelKind::Blocked4x4:
       mm_blocked4x4(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+      break;
+    case KernelKind::Simd:
+      mm_simd(m, n, k, alpha, a, lda, b, ldb, c, ldc);
       break;
   }
 }

@@ -3,14 +3,17 @@
 // Leaf-level multiply kernels (paper §5).
 //
 // The recursion terminates on cache-resident column-major tiles; all the
-// floating-point work happens here.  Three tiers are provided, mirroring the
-// kernel tiers of the paper's Fig. 7 study:
+// floating-point work happens here.  Three tiers mirror the kernel tiers of
+// the paper's Fig. 7 study, and a fourth is the default leaf:
 //
 //   Naive         — textbook dot-product triple loop (the "unoptimized" tier)
 //   TiledUnrolled — the paper's own C kernel: 6-loop tiled multiply with the
 //                   innermost accumulation loop unrolled four-way
 //   Blocked4x4    — register-blocked 4×4 micro-kernel, the stand-in for the
 //                   vendor dgemm tier
+//   Simd          — register-blocked vector micro-kernel in compiler vector
+//                   extensions, as wide as the build's -march; no packing
+//                   (DESIGN.md §6)
 //
 // All kernels compute C += alpha * A·B on column-major blocks with leading
 // dimensions, so they serve both the tiled leaves (ld == tile rows) and the

@@ -68,25 +68,18 @@ bool node_cancelled(const MulContext& ctx) {
   return false;
 }
 
-bool spawn_here(const MulContext& ctx, int level) {
-  // Race detection certifies the PARALLEL task DAG, so every fork that could
-  // be a task on a real pool must become one, even on the serial pool the
-  // detector runs on and below the spawn threshold.
-  if (analysis::detection_active()) return true;
-  return !ctx.pool->serial() && level >= ctx.spawn_min_level;
-}
-
-/// Run f via the group when parallel, inline otherwise.
-template <typename F>
-void fork(TaskGroup& group, bool parallel, F&& f) {
-  if (parallel) {
-    group.spawn(std::forward<F>(f));
-  } else {
-    f();
-  }
-}
-
 }  // namespace
+
+std::uint64_t node_flops(const TiledBlock& c, const TiledBlock& a) noexcept {
+  return 2 * (static_cast<std::uint64_t>(c.geom->tile_rows) << c.level) *
+         (static_cast<std::uint64_t>(c.geom->tile_cols) << c.level) *
+         (static_cast<std::uint64_t>(a.geom->tile_cols) << a.level);
+}
+
+bool spawn_here(const MulContext& ctx, std::uint64_t flops) {
+  return above_grain(ctx, flops) &&
+         (!ctx.pool->serial() || analysis::detection_active());
+}
 
 void mul_standard(const MulContext& ctx, const TiledBlock& c, const TiledBlock& a,
                   const TiledBlock& b, std::uint64_t path) {
@@ -101,7 +94,8 @@ void mul_standard(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
     leaf(ctx, c, a, b);
     return;
   }
-  const bool par = spawn_here(ctx, c.level);
+  const std::uint64_t flops = node_flops(c, a);
+  const bool par = spawn_here(ctx, flops);
   const bool fg = ctx.force_generic_additions;
 
   const TiledBlock c11 = c.quadrant(kNW), c12 = c.quadrant(kNE);
@@ -111,23 +105,20 @@ void mul_standard(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
   const TiledBlock b11 = b.quadrant(kNW), b12 = b.quadrant(kNE);
   const TiledBlock b21 = b.quadrant(kSW), b22 = b.quadrant(kSE);
 
-  if (ctx.standard_variant == StandardVariant::InPlace) {
+  if (ctx.standard_variant == StandardVariant::InPlace || !above_grain(ctx, flops)) {
     // Two phases of four accumulating products; C quadrants are disjoint
-    // within each phase, so no temporaries are needed.
-    {
-      TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-      fork(group, par, [&] { mul_standard(ctx, c11, a11, b11, treeprof::child_path(path, 0)); });
-      fork(group, par, [&] { mul_standard(ctx, c12, a11, b12, treeprof::child_path(path, 1)); });
-      fork(group, par, [&] { mul_standard(ctx, c21, a21, b11, treeprof::child_path(path, 2)); });
-      fork(group, par, [&] { mul_standard(ctx, c22, a21, b12, treeprof::child_path(path, 3)); });
-      group.wait();
-    }
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(group, par, [&] { mul_standard(ctx, c11, a12, b21, treeprof::child_path(path, 4)); });
-    fork(group, par, [&] { mul_standard(ctx, c12, a12, b22, treeprof::child_path(path, 5)); });
-    fork(group, par, [&] { mul_standard(ctx, c21, a22, b21, treeprof::child_path(path, 6)); });
-    fork(group, par, [&] { mul_standard(ctx, c22, a22, b22, treeprof::child_path(path, 7)); });
-    group.wait();
+    // within each phase, so no temporaries are needed. Below the grain this
+    // is the serial form of either variant.
+    wave(ctx, par,
+         [&] { mul_standard(ctx, c11, a11, b11, treeprof::child_path(path, 0)); },
+         [&] { mul_standard(ctx, c12, a11, b12, treeprof::child_path(path, 1)); },
+         [&] { mul_standard(ctx, c21, a21, b11, treeprof::child_path(path, 2)); },
+         [&] { mul_standard(ctx, c22, a21, b12, treeprof::child_path(path, 3)); });
+    wave(ctx, par,
+         [&] { mul_standard(ctx, c11, a12, b21, treeprof::child_path(path, 4)); },
+         [&] { mul_standard(ctx, c12, a12, b22, treeprof::child_path(path, 5)); },
+         [&] { mul_standard(ctx, c21, a22, b21, treeprof::child_path(path, 6)); },
+         [&] { mul_standard(ctx, c22, a22, b22, treeprof::child_path(path, 7)); });
     return;
   }
 
@@ -136,56 +127,29 @@ void mul_standard(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
   // temporaries folded in by the post-additions.
   TiledMatrix t11 = make_temp(c11), t12 = make_temp(c12);
   TiledMatrix t21 = make_temp(c21), t22 = make_temp(c22);
-  {
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(group, par, [&] { mul_standard(ctx, c11, a11, b11, treeprof::child_path(path, 0)); });
-    fork(group, par, [&] { mul_standard(ctx, c12, a11, b12, treeprof::child_path(path, 1)); });
-    fork(group, par, [&] { mul_standard(ctx, c21, a21, b11, treeprof::child_path(path, 2)); });
-    fork(group, par, [&] { mul_standard(ctx, c22, a21, b12, treeprof::child_path(path, 3)); });
-    fork(group, par, [&] {
-      t11.zero();
-      mul_standard(ctx, t11.root(), a12, b21, treeprof::child_path(path, 4));
-    });
-    fork(group, par, [&] {
-      t12.zero();
-      mul_standard(ctx, t12.root(), a12, b22, treeprof::child_path(path, 5));
-    });
-    fork(group, par, [&] {
-      t21.zero();
-      mul_standard(ctx, t21.root(), a22, b21, treeprof::child_path(path, 6));
-    });
-    fork(group, par, [&] {
-      t22.zero();
-      mul_standard(ctx, t22.root(), a22, b22, treeprof::child_path(path, 7));
-    });
-    group.wait();
-  }
+  auto into_temp = [&](TiledMatrix& t, const TiledBlock& x, const TiledBlock& y,
+                       unsigned child) {
+    t.zero();
+    mul_standard(ctx, t.root(), x, y, treeprof::child_path(path, child));
+  };
+  wave(ctx, par,
+       [&] { mul_standard(ctx, c11, a11, b11, treeprof::child_path(path, 0)); },
+       [&] { mul_standard(ctx, c12, a11, b12, treeprof::child_path(path, 1)); },
+       [&] { mul_standard(ctx, c21, a21, b11, treeprof::child_path(path, 2)); },
+       [&] { mul_standard(ctx, c22, a21, b12, treeprof::child_path(path, 3)); },
+       [&] { into_temp(t11, a12, b21, 4); }, [&] { into_temp(t12, a12, b22, 5); },
+       [&] { into_temp(t21, a22, b21, 6); }, [&] { into_temp(t22, a22, b22, 7); });
   // "adds" phases mark the serial joints between product waves in the
   // trace; only spawning nodes emit them (deep nodes would flood the ring).
   // Forked add tasks attribute to this node's own path (same depth).
   obs::PhaseScope adds_phase("adds", par);
-  TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-  fork(group, par, [&] {
+  auto post_add = [&](const TiledBlock& dst, TiledMatrix& t) {
     treeprof::NodeScope add_node(path);
-    block_acc(c11, 1.0, t11.root(), fg);
-    treeprof::add_flops(block_elems(c11));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc(c12, 1.0, t12.root(), fg);
-    treeprof::add_flops(block_elems(c12));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc(c21, 1.0, t21.root(), fg);
-    treeprof::add_flops(block_elems(c21));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc(c22, 1.0, t22.root(), fg);
-    treeprof::add_flops(block_elems(c22));
-  });
-  group.wait();
+    block_acc(dst, 1.0, t.root(), fg);
+    treeprof::add_flops(block_elems(dst));
+  };
+  wave(ctx, par, [&] { post_add(c11, t11); }, [&] { post_add(c12, t12); },
+       [&] { post_add(c21, t21); }, [&] { post_add(c22, t22); });
 }
 
 namespace {
@@ -322,7 +286,8 @@ void mul_fast_lowmem(const MulContext& ctx, bool winograd, const TiledBlock& c,
 void mul_strassen(const MulContext& ctx, const TiledBlock& c, const TiledBlock& a,
                   const TiledBlock& b, std::uint64_t path) {
   if (node_cancelled(ctx)) return;
-  if (ctx.fast_variant == FastVariant::SerialLowMem) {
+  const std::uint64_t flops = node_flops(c, a);
+  if (ctx.fast_variant == FastVariant::SerialLowMem || !above_grain(ctx, flops)) {
     mul_fast_lowmem(ctx, /*winograd=*/false, c, a, b, path);
     return;
   }
@@ -331,7 +296,7 @@ void mul_strassen(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
     return;
   }
   treeprof::NodeScope tree_node(path);
-  const bool par = spawn_here(ctx, c.level);
+  const bool par = spawn_here(ctx, flops);
   const bool fg = ctx.force_generic_additions;
 
   const TiledBlock c11 = c.quadrant(kNW), c12 = c.quadrant(kNE);
@@ -353,93 +318,66 @@ void mul_strassen(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
     // Pre-additions (Fig. 1(b)): ten independent quadrant adds, each
     // attributed to this node's own path.
     obs::PhaseScope adds_phase("adds", par);
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    auto pre_add = [&](const TiledBlock& dst, const TiledBlock& x, double s,
+    auto pre_add = [&](TiledMatrix& dst, const TiledBlock& x, double s,
                        const TiledBlock& y) {
       treeprof::NodeScope add_node(path);
-      block_set_add(dst, x, s, y, fg);
-      treeprof::add_flops(block_elems(dst));
+      block_set_add(dst.root(), x, s, y, fg);
+      treeprof::add_flops(block_elems(dst.root()));
     };
-    fork(group, par, [&] { pre_add(s1.root(), a11, +1.0, a22); });
-    fork(group, par, [&] { pre_add(s2.root(), a21, +1.0, a22); });
     // Note: S3 = A11 + A12 (Strassen's M5 pre-sum). The SPAA'99 scan prints
     // "S3 = A11 - A12", which is inconsistent with its own post-additions
     // C12 = P3 + P5 and C11 = ... - P5 ...; the + sign is the classical one.
-    fork(group, par, [&] { pre_add(s3.root(), a11, +1.0, a12); });
-    fork(group, par, [&] { pre_add(s4.root(), a21, -1.0, a11); });
-    fork(group, par, [&] { pre_add(s5.root(), a12, -1.0, a22); });
-    fork(group, par, [&] { pre_add(t1.root(), b11, +1.0, b22); });
-    fork(group, par, [&] { pre_add(t2.root(), b12, -1.0, b22); });
-    fork(group, par, [&] { pre_add(t3.root(), b21, -1.0, b11); });
-    fork(group, par, [&] { pre_add(t4.root(), b11, +1.0, b12); });
-    fork(group, par, [&] { pre_add(t5.root(), b21, +1.0, b22); });
-    group.wait();
+    wave(ctx, par, [&] { pre_add(s1, a11, +1.0, a22); },
+         [&] { pre_add(s2, a21, +1.0, a22); }, [&] { pre_add(s3, a11, +1.0, a12); },
+         [&] { pre_add(s4, a21, -1.0, a11); }, [&] { pre_add(s5, a12, -1.0, a22); },
+         [&] { pre_add(t1, b11, +1.0, b22); }, [&] { pre_add(t2, b12, -1.0, b22); },
+         [&] { pre_add(t3, b21, -1.0, b11); }, [&] { pre_add(t4, b11, +1.0, b12); },
+         [&] { pre_add(t5, b21, +1.0, b22); });
   }
-  {
-    // Seven recursive products, all spawned at once (paper §2).
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(group, par, [&] {
-      p1.zero();
-      mul_strassen(ctx, p1.root(), s1.root(), t1.root(), treeprof::child_path(path, 0));
-    });
-    fork(group, par, [&] {
-      p2.zero();
-      mul_strassen(ctx, p2.root(), s2.root(), b11, treeprof::child_path(path, 1));
-    });
-    fork(group, par, [&] {
-      p3.zero();
-      mul_strassen(ctx, p3.root(), a11, t2.root(), treeprof::child_path(path, 2));
-    });
-    fork(group, par, [&] {
-      p4.zero();
-      mul_strassen(ctx, p4.root(), a22, t3.root(), treeprof::child_path(path, 3));
-    });
-    fork(group, par, [&] {
-      p5.zero();
-      mul_strassen(ctx, p5.root(), s3.root(), b22, treeprof::child_path(path, 4));
-    });
-    fork(group, par, [&] {
-      p6.zero();
-      mul_strassen(ctx, p6.root(), s4.root(), t4.root(), treeprof::child_path(path, 5));
-    });
-    fork(group, par, [&] {
-      p7.zero();
-      mul_strassen(ctx, p7.root(), s5.root(), t5.root(), treeprof::child_path(path, 6));
-    });
-    group.wait();
-  }
+  // Seven recursive products, all spawned at once (paper §2).
+  auto product = [&](TiledMatrix& p, const TiledBlock& x, const TiledBlock& y,
+                     unsigned child) {
+    p.zero();
+    mul_strassen(ctx, p.root(), x, y, treeprof::child_path(path, child));
+  };
+  wave(ctx, par, [&] { product(p1, s1.root(), t1.root(), 0); },
+       [&] { product(p2, s2.root(), b11, 1); }, [&] { product(p3, a11, t2.root(), 2); },
+       [&] { product(p4, a22, t3.root(), 3); }, [&] { product(p5, s3.root(), b22, 4); },
+       [&] { product(p6, s4.root(), t4.root(), 5); },
+       [&] { product(p7, s5.root(), t5.root(), 6); });
   // Post-additions.
   obs::PhaseScope adds_phase("adds", par);
-  TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc4(c11, +1.0, p1.root(), +1.0, p4.root(), -1.0, p5.root(), +1.0,
-               p7.root(), fg);
-    treeprof::add_flops(4 * block_elems(c11));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc2(c21, +1.0, p2.root(), +1.0, p4.root(), fg);
-    treeprof::add_flops(2 * block_elems(c21));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc2(c12, +1.0, p3.root(), +1.0, p5.root(), fg);
-    treeprof::add_flops(2 * block_elems(c12));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc4(c22, +1.0, p1.root(), +1.0, p3.root(), -1.0, p2.root(), +1.0,
-               p6.root(), fg);
-    treeprof::add_flops(4 * block_elems(c22));
-  });
-  group.wait();
+  wave(
+      ctx, par,
+      [&] {
+        treeprof::NodeScope add_node(path);
+        block_acc4(c11, +1.0, p1.root(), +1.0, p4.root(), -1.0, p5.root(), +1.0,
+                   p7.root(), fg);
+        treeprof::add_flops(4 * block_elems(c11));
+      },
+      [&] {
+        treeprof::NodeScope add_node(path);
+        block_acc2(c21, +1.0, p2.root(), +1.0, p4.root(), fg);
+        treeprof::add_flops(2 * block_elems(c21));
+      },
+      [&] {
+        treeprof::NodeScope add_node(path);
+        block_acc2(c12, +1.0, p3.root(), +1.0, p5.root(), fg);
+        treeprof::add_flops(2 * block_elems(c12));
+      },
+      [&] {
+        treeprof::NodeScope add_node(path);
+        block_acc4(c22, +1.0, p1.root(), +1.0, p3.root(), -1.0, p2.root(), +1.0,
+                   p6.root(), fg);
+        treeprof::add_flops(4 * block_elems(c22));
+      });
 }
 
 void mul_winograd(const MulContext& ctx, const TiledBlock& c, const TiledBlock& a,
                   const TiledBlock& b, std::uint64_t path) {
   if (node_cancelled(ctx)) return;
-  if (ctx.fast_variant == FastVariant::SerialLowMem) {
+  const std::uint64_t flops = node_flops(c, a);
+  if (ctx.fast_variant == FastVariant::SerialLowMem || !above_grain(ctx, flops)) {
     mul_fast_lowmem(ctx, /*winograd=*/true, c, a, b, path);
     return;
   }
@@ -448,7 +386,7 @@ void mul_winograd(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
     return;
   }
   treeprof::NodeScope tree_node(path);
-  const bool par = spawn_here(ctx, c.level);
+  const bool par = spawn_here(ctx, flops);
   const bool fg = ctx.force_generic_additions;
 
   const TiledBlock c11 = c.quadrant(kNW), c12 = c.quadrant(kNE);
@@ -471,99 +409,77 @@ void mul_winograd(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
     // this sharing is Winograd's signature — so each side runs its chain in
     // one task, with the independent S3/T3 adds in their own tasks.
     obs::PhaseScope adds_phase("adds", par);
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(group, par, [&] {
-      treeprof::NodeScope add_node(path);
-      block_set_add(s1.root(), a21, +1.0, a22, fg);
-      block_set_add(s2.root(), s1.root(), -1.0, a11, fg);
-      block_set_add(s4.root(), a12, -1.0, s2.root(), fg);
-      treeprof::add_flops(3 * block_elems(s1.root()));
-    });
-    fork(group, par, [&] {
-      treeprof::NodeScope add_node(path);
-      block_set_add(s3.root(), a11, -1.0, a21, fg);
-      treeprof::add_flops(block_elems(s3.root()));
-    });
-    fork(group, par, [&] {
-      treeprof::NodeScope add_node(path);
-      block_set_add(t1.root(), b12, -1.0, b11, fg);
-      block_set_add(t2.root(), b22, -1.0, t1.root(), fg);
-      block_set_add(t4.root(), b21, -1.0, t2.root(), fg);
-      treeprof::add_flops(3 * block_elems(t1.root()));
-    });
-    fork(group, par, [&] {
-      treeprof::NodeScope add_node(path);
-      block_set_add(t3.root(), b22, -1.0, b12, fg);
-      treeprof::add_flops(block_elems(t3.root()));
-    });
-    group.wait();
+    wave(
+        ctx, par,
+        [&] {
+          treeprof::NodeScope add_node(path);
+          block_set_add(s1.root(), a21, +1.0, a22, fg);
+          block_set_add(s2.root(), s1.root(), -1.0, a11, fg);
+          block_set_add(s4.root(), a12, -1.0, s2.root(), fg);
+          treeprof::add_flops(3 * block_elems(s1.root()));
+        },
+        [&] {
+          treeprof::NodeScope add_node(path);
+          block_set_add(s3.root(), a11, -1.0, a21, fg);
+          treeprof::add_flops(block_elems(s3.root()));
+        },
+        [&] {
+          treeprof::NodeScope add_node(path);
+          block_set_add(t1.root(), b12, -1.0, b11, fg);
+          block_set_add(t2.root(), b22, -1.0, t1.root(), fg);
+          block_set_add(t4.root(), b21, -1.0, t2.root(), fg);
+          treeprof::add_flops(3 * block_elems(t1.root()));
+        },
+        [&] {
+          treeprof::NodeScope add_node(path);
+          block_set_add(t3.root(), b22, -1.0, b12, fg);
+          treeprof::add_flops(block_elems(t3.root()));
+        });
   }
-  {
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(group, par, [&] {
-      p1.zero();
-      mul_winograd(ctx, p1.root(), a11, b11, treeprof::child_path(path, 0));
-    });
-    fork(group, par, [&] {
-      p2.zero();
-      mul_winograd(ctx, p2.root(), a12, b21, treeprof::child_path(path, 1));
-    });
-    fork(group, par, [&] {
-      p3.zero();
-      mul_winograd(ctx, p3.root(), s1.root(), t1.root(), treeprof::child_path(path, 2));
-    });
-    fork(group, par, [&] {
-      p4.zero();
-      mul_winograd(ctx, p4.root(), s2.root(), t2.root(), treeprof::child_path(path, 3));
-    });
-    fork(group, par, [&] {
-      p5.zero();
-      mul_winograd(ctx, p5.root(), s3.root(), t3.root(), treeprof::child_path(path, 4));
-    });
-    fork(group, par, [&] {
-      p6.zero();
-      mul_winograd(ctx, p6.root(), s4.root(), b22, treeprof::child_path(path, 5));
-    });
-    fork(group, par, [&] {
-      p7.zero();
-      mul_winograd(ctx, p7.root(), a22, t4.root(), treeprof::child_path(path, 6));
-    });
-    group.wait();
-  }
+  auto product = [&](TiledMatrix& p, const TiledBlock& x, const TiledBlock& y,
+                     unsigned child) {
+    p.zero();
+    mul_winograd(ctx, p.root(), x, y, treeprof::child_path(path, child));
+  };
+  wave(ctx, par, [&] { product(p1, a11, b11, 0); }, [&] { product(p2, a12, b21, 1); },
+       [&] { product(p3, s1.root(), t1.root(), 2); },
+       [&] { product(p4, s2.root(), t2.root(), 3); },
+       [&] { product(p5, s3.root(), t3.root(), 4); }, [&] { product(p6, s4.root(), b22, 5); },
+       [&] { product(p7, a22, t4.root(), 6); });
   // Post-additions with Winograd's common-subexpression reuse: the U-chain
   // accumulates in place into the P buffers (all orientation 0, so the
   // aliased elementwise updates are safe).
   obs::PhaseScope adds_phase("adds", par);
-  TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc2(c11, +1.0, p1.root(), +1.0, p2.root(), fg);
-    treeprof::add_flops(2 * block_elems(c11));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc(p4.root(), 1.0, p1.root(), fg);   // U2 = P1 + P4
-    block_acc(p5.root(), 1.0, p4.root(), fg);   // U3 = U2 + P5
-    treeprof::add_flops(2 * block_elems(p4.root()));
-    TaskGroup inner(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(inner, par, [&] {
-      treeprof::NodeScope inner_node(path);
-      block_acc2(c21, +1.0, p5.root(), +1.0, p7.root(), fg);
-      treeprof::add_flops(2 * block_elems(c21));
-    });
-    fork(inner, par, [&] {
-      treeprof::NodeScope inner_node(path);
-      block_acc2(c22, +1.0, p5.root(), +1.0, p3.root(), fg);
-      treeprof::add_flops(2 * block_elems(c22));
-    });
-    fork(inner, par, [&] {
-      treeprof::NodeScope inner_node(path);
-      block_acc3(c12, +1.0, p4.root(), +1.0, p3.root(), +1.0, p6.root(), fg);
-      treeprof::add_flops(3 * block_elems(c12));
-    });
-    inner.wait();
-  });
-  group.wait();
+  wave(
+      ctx, par,
+      [&] {
+        treeprof::NodeScope add_node(path);
+        block_acc2(c11, +1.0, p1.root(), +1.0, p2.root(), fg);
+        treeprof::add_flops(2 * block_elems(c11));
+      },
+      [&] {
+        treeprof::NodeScope add_node(path);
+        block_acc(p4.root(), 1.0, p1.root(), fg);   // U2 = P1 + P4
+        block_acc(p5.root(), 1.0, p4.root(), fg);   // U3 = U2 + P5
+        treeprof::add_flops(2 * block_elems(p4.root()));
+        wave(
+            ctx, par,
+            [&] {
+              treeprof::NodeScope inner_node(path);
+              block_acc2(c21, +1.0, p5.root(), +1.0, p7.root(), fg);
+              treeprof::add_flops(2 * block_elems(c21));
+            },
+            [&] {
+              treeprof::NodeScope inner_node(path);
+              block_acc2(c22, +1.0, p5.root(), +1.0, p3.root(), fg);
+              treeprof::add_flops(2 * block_elems(c22));
+            },
+            [&] {
+              treeprof::NodeScope inner_node(path);
+              block_acc3(c12, +1.0, p4.root(), +1.0, p3.root(), +1.0, p6.root(), fg);
+              treeprof::add_flops(3 * block_elems(c12));
+            });
+      });
 }
 
 void mul_dispatch(const MulContext& ctx, Algorithm alg, const TiledBlock& c,

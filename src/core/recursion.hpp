@@ -8,9 +8,16 @@
 // t_m × t_k, B's t_k × t_n, C's t_m × t_n. Temporaries are fresh TiledMatrix
 // allocations of quadrant size — for the fast algorithms this is the paper's
 // §5.1 observation that every recursion level halves the leading dimension.
+//
+// A work grain (MulContext::spawn_flops) splits the tree in two. Nodes at or
+// above it run the parallel forms (Fig. 1's temporaries, children spawned
+// on a parallel pool); nodes below it run the serial forms depth-first:
+// Standard's two-phase InPlace schedule, and §5.1's SerialLowMem schedule
+// for Strassen and Winograd.
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 
 #include "core/add.hpp"
 #include "core/config.hpp"
@@ -24,14 +31,20 @@ class ZeroTree;
 
 /// Shared state of one multiplication: immutable configuration + the pool.
 struct MulContext {
-  KernelKind kernel = KernelKind::TiledUnrolled;
+  KernelKind kernel = KernelKind::Simd;
   StandardVariant standard_variant = StandardVariant::Temporaries;
   FastVariant fast_variant = FastVariant::Parallel;
   int fast_cutoff_level = 0;     ///< Strassen/Winograd fall back to standard at/below
   bool force_generic_additions = false;
-  /// Recursive calls are spawned as tasks at this block level and above;
-  /// below it the recursion runs serially inside the owning task.
-  int spawn_min_level = 2;
+  /// Fork grain: a node forks when its classical work 2·m·n·k reaches this
+  /// (the meaning of CanonContext::spawn_flops). At or above it the node
+  /// runs the variant's parallel form and spawns its children on a parallel
+  /// pool; below it the node runs the serial form inline. The choice reads
+  /// only the block's shape, never the pool, so serial and parallel pools
+  /// compute bit-identical C. The default, 2^25, is the 256³ node: on
+  /// 16-wide tiles its children are about 4 MFLOP each. 0 = parallel forms
+  /// at every level.
+  std::uint64_t spawn_flops = std::uint64_t{1} << 25;
   WorkerPool* pool = nullptr;    ///< never null; a 0-thread pool is serial
   /// Cooperative cancellation: when set and true, the recursion returns
   /// without descending further. Wired to the TaskGroups it creates, so one
@@ -53,6 +66,35 @@ struct MulContext {
   const ZeroTree* zero_a = nullptr;
   const ZeroTree* zero_b = nullptr;
 };
+
+/// Classical work 2·m·n·k of C += A·B on equal-level blocks c (m×n) and
+/// a (m×k): the quantity the fork grain is measured in.
+std::uint64_t node_flops(const TiledBlock& c, const TiledBlock& a) noexcept;
+
+/// True when a node of `flops` classical work runs the parallel form.
+inline bool above_grain(const MulContext& ctx, std::uint64_t flops) noexcept {
+  return flops >= ctx.spawn_flops;
+}
+
+/// The fork predicate of every tiled recursion (multiply, LU, Cholesky):
+/// spawn a node's children as tasks when it is above the grain and the pool
+/// is parallel. Under the race detector such forks become logical tasks on
+/// the serial pool it runs on, so it certifies the DAG a parallel pool runs.
+bool spawn_here(const MulContext& ctx, std::uint64_t flops);
+
+/// One fork-join wave of every tiled recursion: the callables are spawned
+/// into one TaskGroup when `par` (a spawn_here result), and called in order
+/// on the current thread otherwise, with no group built.
+template <typename... F>
+void wave(const MulContext& ctx, bool par, F&&... fs) {
+  if (!par) {
+    (fs(), ...);
+    return;
+  }
+  TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
+  (group.spawn(std::forward<F>(fs)), ...);
+  group.wait();
+}
 
 // Each routine carries its node's quadrant path (obs/treeprof/ encoding) so
 // an armed tree-profiling session can attribute cost per recursion-tree

@@ -6,10 +6,13 @@
 // n = 1000 the standard algorithm has enough parallelism to keep ~40
 // processors busy versus ~23 for the fast algorithms, with work O(n^{2+δ})
 // and span O(lg² n).  Work/span is a property of the task DAG, independent
-// of the hardware, so we reproduce the claim by mirroring the exact spawn
-// structure of recursion.cpp: leaf multiplies cost 2·t_m·t_k·t_n flops,
-// quadrant additions one flop per element (multi-operand adds one per
-// operand), temporary zeroing one store per element.
+// of the hardware, so we reproduce the claim by modelling the paper's DAG,
+// in which every node forks with the parallel forms of recursion.cpp: leaf
+// multiplies cost 2·t_m·t_k·t_n flops, quadrant additions one flop per
+// element (multi-operand adds one per operand), temporary zeroing one store
+// per element. The executed recursion forks only at or above
+// MulContext::spawn_flops and runs serial forms below it, so its measured
+// parallelism (GemmProfile::achieved_parallelism) is lower by design.
 
 #include <cstdint>
 

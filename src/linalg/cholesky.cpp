@@ -86,19 +86,6 @@ void leaf_trsm_rlt(std::uint32_t m, std::uint32_t t, double* x, std::size_t ldx,
   }
 }
 
-bool spawn_here(const MulContext& ctx, int level) {
-  return !ctx.pool->serial() && level >= ctx.spawn_min_level;
-}
-
-template <typename F>
-void fork(TaskGroup& group, bool parallel, F&& f) {
-  if (parallel) {
-    group.spawn(std::forward<F>(f));
-  } else {
-    f();
-  }
-}
-
 }  // namespace
 
 void mul_nt(const MulContext& ctx, double alpha, const TiledBlock& c,
@@ -109,7 +96,7 @@ void mul_nt(const MulContext& ctx, double alpha, const TiledBlock& c,
                c.tile(), c.geom->tile_rows);
     return;
   }
-  const bool par = spawn_here(ctx, c.level);
+  const bool par = spawn_here(ctx, node_flops(c, a));
   const TiledBlock c11 = c.quadrant(kNW), c12 = c.quadrant(kNE);
   const TiledBlock c21 = c.quadrant(kSW), c22 = c.quadrant(kSE);
   const TiledBlock a11 = a.quadrant(kNW), a12 = a.quadrant(kNE);
@@ -117,20 +104,14 @@ void mul_nt(const MulContext& ctx, double alpha, const TiledBlock& c,
   const TiledBlock b11 = b.quadrant(kNW), b12 = b.quadrant(kNE);
   const TiledBlock b21 = b.quadrant(kSW), b22 = b.quadrant(kSE);
   // C_ij += alpha Σ_k A_ik (B_jk)ᵀ, two accumulating phases of four.
-  {
-    TaskGroup group(*ctx.pool);
-    fork(group, par, [&] { mul_nt(ctx, alpha, c11, a11, b11); });
-    fork(group, par, [&] { mul_nt(ctx, alpha, c12, a11, b21); });
-    fork(group, par, [&] { mul_nt(ctx, alpha, c21, a21, b11); });
-    fork(group, par, [&] { mul_nt(ctx, alpha, c22, a21, b21); });
-    group.wait();
-  }
-  TaskGroup group(*ctx.pool);
-  fork(group, par, [&] { mul_nt(ctx, alpha, c11, a12, b12); });
-  fork(group, par, [&] { mul_nt(ctx, alpha, c12, a12, b22); });
-  fork(group, par, [&] { mul_nt(ctx, alpha, c21, a22, b12); });
-  fork(group, par, [&] { mul_nt(ctx, alpha, c22, a22, b22); });
-  group.wait();
+  wave(ctx, par, [&] { mul_nt(ctx, alpha, c11, a11, b11); },
+       [&] { mul_nt(ctx, alpha, c12, a11, b21); },
+       [&] { mul_nt(ctx, alpha, c21, a21, b11); },
+       [&] { mul_nt(ctx, alpha, c22, a21, b21); });
+  wave(ctx, par, [&] { mul_nt(ctx, alpha, c11, a12, b12); },
+       [&] { mul_nt(ctx, alpha, c12, a12, b22); },
+       [&] { mul_nt(ctx, alpha, c21, a22, b12); },
+       [&] { mul_nt(ctx, alpha, c22, a22, b22); });
 }
 
 void trsm_right_lower_transposed(const MulContext& ctx, const TiledBlock& x,
@@ -140,21 +121,17 @@ void trsm_right_lower_transposed(const MulContext& ctx, const TiledBlock& x,
                   x.geom->tile_rows, l.tile(), l.geom->tile_rows);
     return;
   }
-  const bool par = spawn_here(ctx, x.level);
+  const bool par = spawn_here(ctx, node_flops(x, l));
   const TiledBlock l11 = l.quadrant(kNW), l21 = l.quadrant(kSW);
   const TiledBlock l22 = l.quadrant(kSE);
-  TaskGroup group(*ctx.pool);
   // The two row-blocks of X solve independently against the same L.
-  for (const int row : {0, 1}) {
-    const TiledBlock x1 = x.quadrant(row == 0 ? kNW : kSW);
-    const TiledBlock x2 = x.quadrant(row == 0 ? kNE : kSE);
-    fork(group, par, [&ctx, x1, x2, l11, l21, l22] {
-      trsm_right_lower_transposed(ctx, x1, l11);
-      mul_nt(ctx, -1.0, x2, x1, l21);
-      trsm_right_lower_transposed(ctx, x2, l22);
-    });
-  }
-  group.wait();
+  auto row = [&](const TiledBlock& x1, const TiledBlock& x2) {
+    trsm_right_lower_transposed(ctx, x1, l11);
+    mul_nt(ctx, -1.0, x2, x1, l21);
+    trsm_right_lower_transposed(ctx, x2, l22);
+  };
+  wave(ctx, par, [&] { row(x.quadrant(kNW), x.quadrant(kNE)); },
+       [&] { row(x.quadrant(kSW), x.quadrant(kSE)); });
 }
 
 void syrk_lower_update(const MulContext& ctx, const TiledBlock& c,
@@ -167,25 +144,25 @@ void syrk_lower_update(const MulContext& ctx, const TiledBlock& c,
                c.tile(), c.geom->tile_rows);
     return;
   }
-  const bool par = spawn_here(ctx, c.level);
+  const bool par = spawn_here(ctx, node_flops(c, a));
   const TiledBlock c11 = c.quadrant(kNW), c21 = c.quadrant(kSW);
   const TiledBlock c22 = c.quadrant(kSE);
   const TiledBlock a11 = a.quadrant(kNW), a12 = a.quadrant(kNE);
   const TiledBlock a21 = a.quadrant(kSW), a22 = a.quadrant(kSE);
-  TaskGroup group(*ctx.pool);
-  fork(group, par, [&] {
-    syrk_lower_update(ctx, c11, a11);
-    syrk_lower_update(ctx, c11, a12);
-  });
-  fork(group, par, [&] {
-    mul_nt(ctx, -1.0, c21, a21, a11);
-    mul_nt(ctx, -1.0, c21, a22, a12);
-  });
-  fork(group, par, [&] {
-    syrk_lower_update(ctx, c22, a21);
-    syrk_lower_update(ctx, c22, a22);
-  });
-  group.wait();
+  wave(
+      ctx, par,
+      [&] {
+        syrk_lower_update(ctx, c11, a11);
+        syrk_lower_update(ctx, c11, a12);
+      },
+      [&] {
+        mul_nt(ctx, -1.0, c21, a21, a11);
+        mul_nt(ctx, -1.0, c21, a22, a12);
+      },
+      [&] {
+        syrk_lower_update(ctx, c22, a21);
+        syrk_lower_update(ctx, c22, a22);
+      });
 }
 
 void cholesky_block(const MulContext& ctx, const TiledBlock& a) {
@@ -252,6 +229,7 @@ void cholesky(std::uint32_t n, double* a, std::size_t lda,
   timer.reset();
   MulContext ctx;
   ctx.kernel = cfg.kernel;
+  ctx.spawn_flops = kFactorizationSpawnFlops;
   ctx.pool = pool;
   cholesky_block(ctx, ta.root());
   const double compute = timer.seconds();

@@ -33,8 +33,17 @@ struct CholeskyConfig {
   TileRange tiles{};
   unsigned threads = 0;           ///< 0/1 = serial; ignored if pool set
   WorkerPool* pool = nullptr;
-  KernelKind kernel = KernelKind::TiledUnrolled;
+  KernelKind kernel = KernelKind::Simd;
 };
+
+/// Fork grain (MulContext::spawn_flops) lu_nopivot and cholesky run their
+/// recursions at. A factorization chains its steps (factor A11, solve
+/// the panels, update A22, factor A22), so it offers far less parallelism
+/// per FLOP than a multiply, and Cholesky's leaves are scalar. 2^19 is the
+/// 64³ node on 16-wide tiles, 64× finer than the multiply's grain; at the
+/// multiply's 2^25 a 4-thread Cholesky of n = 512 and 1024 ran 1.3-1.8×
+/// slower than at 2^19.
+inline constexpr std::uint64_t kFactorizationSpawnFlops = std::uint64_t{1} << 19;
 
 /// Profile of one factorization (wall seconds).
 struct CholeskyProfile {

@@ -75,19 +75,6 @@ void leaf_trsm_ru(std::uint32_t m, std::uint32_t t, double* x, std::size_t ldx,
   }
 }
 
-bool spawn_here(const MulContext& ctx, int level) {
-  return !ctx.pool->serial() && level >= ctx.spawn_min_level;
-}
-
-template <typename F>
-void fork(TaskGroup& group, bool parallel, F&& f) {
-  if (parallel) {
-    group.spawn(std::forward<F>(f));
-  } else {
-    f();
-  }
-}
-
 /// C += alpha·A·B on equal-level tiled blocks (two accumulating phases).
 void mul_nn(const MulContext& ctx, double alpha, const TiledBlock& c,
             const TiledBlock& a, const TiledBlock& b) {
@@ -97,27 +84,21 @@ void mul_nn(const MulContext& ctx, double alpha, const TiledBlock& c,
             c.tile(), c.geom->tile_rows);
     return;
   }
-  const bool par = spawn_here(ctx, c.level);
+  const bool par = spawn_here(ctx, node_flops(c, a));
   const TiledBlock c11 = c.quadrant(kNW), c12 = c.quadrant(kNE);
   const TiledBlock c21 = c.quadrant(kSW), c22 = c.quadrant(kSE);
   const TiledBlock a11 = a.quadrant(kNW), a12 = a.quadrant(kNE);
   const TiledBlock a21 = a.quadrant(kSW), a22 = a.quadrant(kSE);
   const TiledBlock b11 = b.quadrant(kNW), b12 = b.quadrant(kNE);
   const TiledBlock b21 = b.quadrant(kSW), b22 = b.quadrant(kSE);
-  {
-    TaskGroup group(*ctx.pool);
-    fork(group, par, [&] { mul_nn(ctx, alpha, c11, a11, b11); });
-    fork(group, par, [&] { mul_nn(ctx, alpha, c12, a11, b12); });
-    fork(group, par, [&] { mul_nn(ctx, alpha, c21, a21, b11); });
-    fork(group, par, [&] { mul_nn(ctx, alpha, c22, a21, b12); });
-    group.wait();
-  }
-  TaskGroup group(*ctx.pool);
-  fork(group, par, [&] { mul_nn(ctx, alpha, c11, a12, b21); });
-  fork(group, par, [&] { mul_nn(ctx, alpha, c12, a12, b22); });
-  fork(group, par, [&] { mul_nn(ctx, alpha, c21, a22, b21); });
-  fork(group, par, [&] { mul_nn(ctx, alpha, c22, a22, b22); });
-  group.wait();
+  wave(ctx, par, [&] { mul_nn(ctx, alpha, c11, a11, b11); },
+       [&] { mul_nn(ctx, alpha, c12, a11, b12); },
+       [&] { mul_nn(ctx, alpha, c21, a21, b11); },
+       [&] { mul_nn(ctx, alpha, c22, a21, b12); });
+  wave(ctx, par, [&] { mul_nn(ctx, alpha, c11, a12, b21); },
+       [&] { mul_nn(ctx, alpha, c12, a12, b22); },
+       [&] { mul_nn(ctx, alpha, c21, a22, b21); },
+       [&] { mul_nn(ctx, alpha, c22, a22, b22); });
 }
 
 }  // namespace
@@ -129,21 +110,17 @@ void trsm_left_unit_lower(const MulContext& ctx, const TiledBlock& x,
                   x.geom->tile_rows, l.tile(), l.geom->tile_rows);
     return;
   }
-  const bool par = spawn_here(ctx, x.level);
+  const bool par = spawn_here(ctx, node_flops(x, l));
   const TiledBlock l11 = l.quadrant(kNW), l21 = l.quadrant(kSW);
   const TiledBlock l22 = l.quadrant(kSE);
-  TaskGroup group(*ctx.pool);
   // Column blocks of X are independent.
-  for (const int col : {0, 1}) {
-    const TiledBlock x1 = x.quadrant(col == 0 ? kNW : kNE);
-    const TiledBlock x2 = x.quadrant(col == 0 ? kSW : kSE);
-    fork(group, par, [&ctx, x1, x2, l11, l21, l22] {
-      trsm_left_unit_lower(ctx, x1, l11);
-      mul_nn(ctx, -1.0, x2, l21, x1);
-      trsm_left_unit_lower(ctx, x2, l22);
-    });
-  }
-  group.wait();
+  auto column = [&](const TiledBlock& x1, const TiledBlock& x2) {
+    trsm_left_unit_lower(ctx, x1, l11);
+    mul_nn(ctx, -1.0, x2, l21, x1);
+    trsm_left_unit_lower(ctx, x2, l22);
+  };
+  wave(ctx, par, [&] { column(x.quadrant(kNW), x.quadrant(kSW)); },
+       [&] { column(x.quadrant(kNE), x.quadrant(kSE)); });
 }
 
 void trsm_right_upper(const MulContext& ctx, const TiledBlock& x,
@@ -153,21 +130,17 @@ void trsm_right_upper(const MulContext& ctx, const TiledBlock& x,
                  x.geom->tile_rows, u.tile(), u.geom->tile_rows);
     return;
   }
-  const bool par = spawn_here(ctx, x.level);
+  const bool par = spawn_here(ctx, node_flops(x, u));
   const TiledBlock u11 = u.quadrant(kNW), u12 = u.quadrant(kNE);
   const TiledBlock u22 = u.quadrant(kSE);
-  TaskGroup group(*ctx.pool);
   // Row blocks of X are independent.
-  for (const int row : {0, 1}) {
-    const TiledBlock x1 = x.quadrant(row == 0 ? kNW : kSW);
-    const TiledBlock x2 = x.quadrant(row == 0 ? kNE : kSE);
-    fork(group, par, [&ctx, x1, x2, u11, u12, u22] {
-      trsm_right_upper(ctx, x1, u11);
-      mul_nn(ctx, -1.0, x2, x1, u12);
-      trsm_right_upper(ctx, x2, u22);
-    });
-  }
-  group.wait();
+  auto row = [&](const TiledBlock& x1, const TiledBlock& x2) {
+    trsm_right_upper(ctx, x1, u11);
+    mul_nn(ctx, -1.0, x2, x1, u12);
+    trsm_right_upper(ctx, x2, u22);
+  };
+  wave(ctx, par, [&] { row(x.quadrant(kNW), x.quadrant(kNE)); },
+       [&] { row(x.quadrant(kSW), x.quadrant(kSE)); });
 }
 
 void lu_block(const MulContext& ctx, const TiledBlock& a) {
@@ -180,14 +153,10 @@ void lu_block(const MulContext& ctx, const TiledBlock& a) {
   const TiledBlock a11 = a.quadrant(kNW), a12 = a.quadrant(kNE);
   const TiledBlock a21 = a.quadrant(kSW), a22 = a.quadrant(kSE);
   lu_block(ctx, a11);
-  {
-    // The two panel solves are independent of each other.
-    TaskGroup group(*ctx.pool);
-    const bool par = spawn_here(ctx, a.level);
-    fork(group, par, [&] { trsm_left_unit_lower(ctx, a12, a11); });
-    fork(group, par, [&] { trsm_right_upper(ctx, a21, a11); });
-    group.wait();
-  }
+  // The two panel solves are independent of each other.
+  wave(ctx, spawn_here(ctx, node_flops(a, a)),
+       [&] { trsm_left_unit_lower(ctx, a12, a11); },
+       [&] { trsm_right_upper(ctx, a21, a11); });
   mul_nn(ctx, -1.0, a22, a21, a12);
   lu_block(ctx, a22);
 }
@@ -234,6 +203,7 @@ void lu_nopivot(std::uint32_t n, double* a, std::size_t lda, const LuConfig& cfg
   timer.reset();
   MulContext ctx;
   ctx.kernel = cfg.kernel;
+  ctx.spawn_flops = kFactorizationSpawnFlops;
   ctx.pool = pool;
   lu_block(ctx, ta.root());
   const double compute = timer.seconds();

@@ -291,29 +291,32 @@ bool Session::try_attach() {
   }
   detail::g_generation.fetch_add(1, std::memory_order_seq_cst);
   attached_ = true;
-  // Probe with the attaching thread's own group: if even this thread cannot
+  // Probe with the attaching thread's own group (kept from an earlier
+  // attach of this session, or opened now): if even this thread cannot
   // open one event, workers will not fare better — mark unavailable with
   // the reason and let the caller degrade.
-  auto probe = std::make_unique<CounterGroup>();
-  std::string reason;
-  if (probe->open(&reason)) {
-    {
-      MutexLock lock(mutex_);
-      groups_.push_back(std::move(probe));
-      labels_.push_back("main");
-      detail::tl_group = groups_.back().get();
-      detail::tl_group_generation =
-          detail::g_generation.load(std::memory_order_relaxed);
-    }
-    // Release: the probe group above must be visible to any worker whose
-    // join_current_thread() acquires this flag through the armed session.
-    available_.store(true, std::memory_order_release);
-    detail::tl_joined_generation =
-        detail::g_generation.load(std::memory_order_relaxed);
-  } else {
-    available_.store(false, std::memory_order_release);
-    reason_ = reason;
+  CounterGroup* own = nullptr;
+  {
+    MutexLock lock(mutex_);
+    own = own_group();
   }
+  std::string reason;
+  if (own == nullptr) {
+    auto probe = std::make_unique<CounterGroup>();
+    if (!probe->open(&reason)) {
+      available_.store(false, std::memory_order_release);
+      reason_ = reason;
+      return true;
+    }
+    MutexLock lock(mutex_);
+    own = add_lane("main", std::move(probe));
+  }
+  detail::tl_group = own;
+  detail::tl_group_generation = detail::g_generation.load(std::memory_order_relaxed);
+  // Release: the probe group above must be visible to any worker whose
+  // join_current_thread() acquires this flag through the armed session.
+  available_.store(true, std::memory_order_release);
+  detail::tl_joined_generation = detail::g_generation.load(std::memory_order_relaxed);
   return true;
 }
 
@@ -331,16 +334,44 @@ void Session::detach() {
   // tasks run under this session.
 }
 
+CounterGroup* Session::own_group() const {
+  for (const Lane& lane : lanes_) {
+    if (lane.owner == std::this_thread::get_id()) return lane.group.get();
+  }
+  return nullptr;
+}
+
+CounterGroup* Session::add_lane(std::string label,
+                                std::unique_ptr<CounterGroup> group) {
+  lanes_.push_back({std::this_thread::get_id(), std::move(label), std::move(group)});
+  return lanes_.back().group.get();
+}
+
+std::vector<std::pair<std::string, const CounterGroup*>> Session::lanes() const {
+  std::vector<std::pair<std::string, const CounterGroup*>> out;
+  MutexLock lock(mutex_);
+  out.reserve(lanes_.size());
+  for (const Lane& lane : lanes_) out.emplace_back(lane.label, lane.group.get());
+  return out;
+}
+
 void Session::join_current_thread() {
   if (!available()) return;
-  auto group = std::make_unique<CounterGroup>();
-  if (!group->open(nullptr)) return;  // this thread just goes uncounted
-  const int hint = obs::detail::worker_hint();
-  MutexLock lock(mutex_);
-  groups_.push_back(std::move(group));
-  labels_.push_back(hint >= 0 ? "w" + std::to_string(hint)
-                              : "t" + std::to_string(labels_.size()));
-  detail::tl_group = groups_.back().get();
+  CounterGroup* own = nullptr;
+  {
+    MutexLock lock(mutex_);
+    own = own_group();
+  }
+  if (own == nullptr) {
+    auto group = std::make_unique<CounterGroup>();
+    if (!group->open(nullptr)) return;  // this thread just goes uncounted
+    const int hint = obs::detail::worker_hint();
+    MutexLock lock(mutex_);
+    own = add_lane(hint >= 0 ? "w" + std::to_string(hint)
+                             : "t" + std::to_string(lanes_.size()),
+                   std::move(group));
+  }
+  detail::tl_group = own;
   detail::tl_group_generation =
       detail::g_generation.load(std::memory_order_relaxed);
 }
@@ -357,21 +388,18 @@ bool Session::read_current_thread(Sample& out) const {
 Sample Session::read_total() const {
   Sample total;
   total.mask = 0;
-  MutexLock lock(mutex_);
-  for (const auto& g : groups_) {
+  for (const auto& [label, group] : lanes()) {
     Sample s;
-    if (g->read(s)) total.accumulate(s);
+    if (group->read(s)) total.accumulate(s);
   }
   return total;
 }
 
 std::vector<ThreadCounters> Session::per_thread() const {
   std::vector<ThreadCounters> out;
-  MutexLock lock(mutex_);
-  out.reserve(groups_.size());
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
+  for (const auto& [label, group] : lanes()) {
     Sample s;
-    if (groups_[i]->read(s)) out.push_back({labels_[i], s});
+    if (group->read(s)) out.push_back({label, s});
   }
   return out;
 }

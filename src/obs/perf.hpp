@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -108,6 +109,9 @@ struct ThreadCounters {
 /// An armed counting session: owns one CounterGroup per participating
 /// thread. Threads join lazily through on_thread_work() (one relaxed load
 /// when no session is armed); the attaching thread joins at attach time.
+/// A thread keeps its group across re-attaches of the same session, so the
+/// group set is bounded by the threads that ever counted under it, and
+/// per-thread totals are cumulative over every attach.
 class Session {
  public:
   Session() = default;
@@ -131,7 +135,8 @@ class Session {
   }
   const std::string& reason() const noexcept { return reason_; }
 
-  /// Sum of every thread group's current scaled cumulative values.
+  /// Sum of every thread group's current scaled cumulative values. The
+  /// session mutex is held only to list the groups, never across a read.
   Sample read_total() const;
 
   /// Per-thread cumulative values with their lane labels.
@@ -156,9 +161,25 @@ class Session {
  private:
   friend bool phase_snapshot(Sample& out);
 
+  /// One participating thread's counter group. Groups are only added, and
+  /// an open group is immutable, so readers may use one without the mutex
+  /// for as long as the session lives.
+  struct Lane {
+    std::thread::id owner;
+    std::string label;
+    std::unique_ptr<CounterGroup> group;
+  };
+
+  /// The calling thread's group in this session, or null.
+  CounterGroup* own_group() const RLA_REQUIRES(mutex_);
+  /// Add the calling thread's freshly opened group under `label`.
+  CounterGroup* add_lane(std::string label, std::unique_ptr<CounterGroup> group)
+      RLA_REQUIRES(mutex_);
+  /// (label, group) of every lane, listed under the mutex.
+  std::vector<std::pair<std::string, const CounterGroup*>> lanes() const;
+
   mutable Mutex mutex_;  // lock-level: registry
-  std::vector<std::unique_ptr<CounterGroup>> groups_ RLA_GUARDED_BY(mutex_);
-  std::vector<std::string> labels_ RLA_GUARDED_BY(mutex_);
+  std::vector<Lane> lanes_ RLA_GUARDED_BY(mutex_);
   std::vector<std::pair<std::string, Sample>> phases_ RLA_GUARDED_BY(mutex_);
   std::string reason_;
   bool attached_ = false;

@@ -173,8 +173,10 @@ void WorkerPool::run_node(TaskNode* node) {
     numerics::fp_poll();
   }
   delete node;
-  if (group != nullptr) group->finish();
+  // Counted before finish(): its release pairs with the acquire in wait(),
+  // so a waiter that sees its group drained also sees every task counted.
   tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+  if (group != nullptr) group->finish();
 }
 
 void WorkerPool::worker_main(int index) {

@@ -466,6 +466,29 @@ TEST(RaceCertify, AllAlgorithmsAndLayoutsAreDeterminate) {
   }
 }
 
+TEST(RaceCertify, ParallelFormsAboveTheForkGrainAreDeterminate) {
+  if (!analysis::instrumented()) {
+    GTEST_SKIP() << "configure with -DRLA_RACE_DETECT=ON";
+  }
+  // The 96³ cases above fall below the fork grain (MulContext::spawn_flops)
+  // and run only the serial forms. At 512³ on 16-wide tiles the top two
+  // levels run the parallel forms, so their temporaries and forked pre- and
+  // post-additions are certified too.
+  for (const Algorithm alg :
+       {Algorithm::Standard, Algorithm::Strassen, Algorithm::Winograd}) {
+    SCOPED_TRACE(std::string(algorithm_name(alg)));
+    GemmConfig cfg;
+    cfg.algorithm = alg;
+    const GemmProfile profile = detect_profile(cfg, 512, 512, 512);
+    for (const std::string& report : profile.race_reports) {
+      ADD_FAILURE() << report;
+    }
+    EXPECT_EQ(profile.races, 0);
+    EXPECT_TRUE(profile.race_certified);
+    EXPECT_GT(profile.race_cells, 0u);
+  }
+}
+
 TEST(RaceCertify, TransposedAndPaddedShapesAreDeterminate) {
   if (!analysis::instrumented()) {
     GTEST_SKIP() << "configure with -DRLA_RACE_DETECT=ON";

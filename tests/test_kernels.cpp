@@ -1,5 +1,5 @@
-// Tests of the leaf multiply kernels (all tiers) and the streaming /
-// strided elementwise helpers.
+// Tests of the leaf multiply kernels (all tiers, plus the Simd tier's edge
+// handling) and the streaming / strided elementwise helpers.
 
 #include <gtest/gtest.h>
 
@@ -50,7 +50,7 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, KernelTest,
     ::testing::Combine(
         ::testing::Values(KernelKind::Naive, KernelKind::TiledUnrolled,
-                          KernelKind::Blocked4x4),
+                          KernelKind::Blocked4x4, KernelKind::Simd),
         ::testing::Values(std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>{1, 1, 1},
                           std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>{4, 4, 4},
                           std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>{16, 16, 16},
@@ -78,8 +78,8 @@ TEST(Kernels, LeadingDimensionViews) {
   Matrix ref(6, 5);
   ref.zero();
   // A block at (3,2) of size 6x4, B block at (1,7) of size 4x5.
-  for (KernelKind kind :
-       {KernelKind::Naive, KernelKind::TiledUnrolled, KernelKind::Blocked4x4}) {
+  for (KernelKind kind : {KernelKind::Naive, KernelKind::TiledUnrolled,
+                          KernelKind::Blocked4x4, KernelKind::Simd}) {
     big_c.zero();
     leaf_mm(kind, 6, 5, 4, 1.0, &big_a(3, 2), big_a.ld(), &big_b(1, 7),
             big_b.ld(), &big_c(0, 0), big_c.ld());
@@ -91,6 +91,90 @@ TEST(Kernels, LeadingDimensionViews) {
         ASSERT_NEAR(big_c(i, j), ref(i, j), 1e-13) << kernel_name(kind);
       }
     }
+  }
+}
+
+// ---- The Simd tier's edge handling: ragged row strips (fewer rows than one
+// vector, copied and padded), column remainders, k = 1, leading-dimension
+// views and the k/m cache blocking of calls larger than a tile.
+
+/// C += alpha·A·B through the Simd kernel on views inside larger arrays (one
+/// row and two columns of offset, so no operand is vector-aligned), against
+/// the reference on the same views. Also checks that C outside the view is
+/// untouched.
+void expect_simd_matches(std::uint32_t m, std::uint32_t n, std::uint32_t k,
+                         double alpha, std::uint64_t seed) {
+  Matrix big_a = random_matrix(m + 3, k + 2, seed);
+  Matrix big_b = random_matrix(k + 3, n + 2, seed + 1);
+  Matrix big_c = random_matrix(m + 3, n + 2, seed + 2);
+  Matrix ref = big_c;
+  leaf_mm(KernelKind::Simd, m, n, k, alpha, &big_a(1, 2), big_a.ld(), &big_b(1, 2),
+          big_b.ld(), &big_c(1, 2), big_c.ld());
+  reference_gemm(m, n, k, alpha, &big_a(1, 2), big_a.ld(), false, &big_b(1, 2),
+                 big_b.ld(), false, 1.0, &ref(1, 2), ref.ld());
+  EXPECT_LT(max_abs_diff(big_c.view(), ref.view()), 1e-13 * (k + 1))
+      << m << "x" << n << "x" << k << " alpha=" << alpha;
+}
+
+TEST(SimdKernel, EveryTileEdgeTheDriverCanPick) {
+  // TileRange{16, 32}: every edge the depth choice can produce, squares and
+  // the non-square leaves of padded rectangular operands.
+  for (std::uint32_t t = 16; t <= 32; ++t) {
+    expect_simd_matches(t, t, t, 1.0, t);
+    expect_simd_matches(t, 48 - t, 16, 1.0, 100 + t);
+    expect_simd_matches(16, t, 48 - t, -1.75, 200 + t);
+  }
+}
+
+TEST(SimdKernel, RaggedRowsAndColumnRemainders) {
+  // Rows: fewer than one vector, between one and two, and past a multiple of
+  // the two-vector strip; columns: every remainder of the register block.
+  for (std::uint32_t m : {1u, 3u, 7u, 9u, 13u, 23u, 41u}) {
+    for (std::uint32_t n = 1; n <= 19; ++n) expect_simd_matches(m, n, 5, -1.75, m * 31 + n);
+  }
+}
+
+TEST(SimdKernel, RankOneUpdate) {
+  for (std::uint32_t m : {1u, 8u, 17u, 32u}) expect_simd_matches(m, 13, 1, -1.75, m);
+}
+
+TEST(SimdKernel, CallsLargerThanOneCacheBlock) {
+  // k above the 256-deep k block and m above the row block: the result is
+  // the blocked sum, still within rounding of the reference.
+  expect_simd_matches(203, 37, 600, 1.0, 7);
+  expect_simd_matches(100, 9, 257, -1.75, 8);
+}
+
+TEST(SimdKernel, AlphaOntoNonzeroCAndExactZeroAlpha) {
+  expect_simd_matches(24, 24, 24, -1.75, 9);
+  Matrix c = random_matrix(16, 16, 10);
+  const Matrix before = c;
+  leaf_mm(KernelKind::Simd, 16, 16, 16, 0.0, nullptr, 16, nullptr, 16, c.data(),
+          c.ld());
+  EXPECT_EQ(max_abs_diff(c.view(), before.view()), 0.0);
+}
+
+TEST(SimdKernel, ResultDoesNotDependOnOperandAlignment) {
+  // The same operands at two different addresses give bitwise-equal C: the
+  // kernel never peels or branches on where a vector happens to start.
+  const std::uint32_t m = 25, n = 19, k = 31;
+  Matrix a = random_matrix(m, k, 11), b = random_matrix(k, n, 12);
+  Matrix c0 = random_matrix(m, n, 13);
+  Matrix c1 = c0;
+  leaf_mm(KernelKind::Simd, m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(), c0.data(),
+          c0.ld());
+  Matrix sa(m + 1, k), sb(k + 1, n), sc(m + 1, n);
+  for (std::uint32_t j = 0; j < k; ++j) {
+    for (std::uint32_t i = 0; i < m; ++i) sa(i + 1, j) = a(i, j);
+  }
+  for (std::uint32_t j = 0; j < n; ++j) {
+    for (std::uint32_t i = 0; i < k; ++i) sb(i + 1, j) = b(i, j);
+    for (std::uint32_t i = 0; i < m; ++i) sc(i + 1, j) = c1(i, j);
+  }
+  leaf_mm(KernelKind::Simd, m, n, k, 1.0, &sa(1, 0), sa.ld(), &sb(1, 0), sb.ld(),
+          &sc(1, 0), sc.ld());
+  for (std::uint32_t j = 0; j < n; ++j) {
+    for (std::uint32_t i = 0; i < m; ++i) ASSERT_EQ(sc(i + 1, j), c0(i, j));
   }
 }
 

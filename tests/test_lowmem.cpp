@@ -32,14 +32,37 @@ TEST_P(LowMemTest, MatchesParallelVariantNumerically) {
   const std::uint32_t n = 64;
   Matrix a = rla::testing::random_matrix(n, n, 1);
   Matrix b = rla::testing::random_matrix(n, n, 2);
-  GemmConfig cfg;
-  cfg.layout = layout;
-  cfg.algorithm = alg;
   Matrix c_parallel(n, n);
-  multiply(c_parallel, a, b, cfg);
-  cfg.fast_variant = FastVariant::SerialLowMem;
   Matrix c_lowmem(n, n);
-  multiply(c_lowmem, a, b, cfg);
+  if (is_recursive(layout)) {
+    // The tiled recursion picks the form by the fork grain: spawn_flops = 0
+    // keeps the Parallel form at every node of this small multiply, which
+    // the default grain would run wholly in SerialLowMem.
+    const TileGeometry g = make_geometry(n, n, 2, layout);
+    TiledMatrix ta(g), tb(g);
+    canonical_to_tiled(a.data(), a.ld(), false, 1.0, g, ta.data());
+    canonical_to_tiled(b.data(), b.ld(), false, 1.0, g, tb.data());
+    WorkerPool pool(0);
+    auto run = [&](FastVariant variant, std::uint64_t grain, Matrix& c) {
+      TiledMatrix tc(g);
+      tc.zero();
+      MulContext ctx;
+      ctx.pool = &pool;
+      ctx.fast_variant = variant;
+      ctx.spawn_flops = grain;
+      mul_dispatch(ctx, alg, tc.root(), ta.root(), tb.root());
+      tiled_to_canonical(tc.data(), g, c.data(), c.ld());
+    };
+    run(FastVariant::Parallel, 0, c_parallel);
+    run(FastVariant::SerialLowMem, MulContext{}.spawn_flops, c_lowmem);
+  } else {
+    GemmConfig cfg;
+    cfg.layout = layout;
+    cfg.algorithm = alg;
+    multiply(c_parallel, a, b, cfg);
+    cfg.fast_variant = FastVariant::SerialLowMem;
+    multiply(c_lowmem, a, b, cfg);
+  }
   // Different summation grouping => compare with tolerance, not bitwise.
   EXPECT_LT(max_abs_diff(c_parallel.view(), c_lowmem.view()), 1e-11);
 }

@@ -269,7 +269,9 @@ TEST(Tracer, MeasuredRunReportsParallelismAndSchedStats) {
   GemmConfig cfg;
   cfg.threads = 4;
   cfg.measure = true;
-  const GemmProfile profile = run_profiled(256, cfg);
+  // 512³ on 16-wide tiles has two levels of nodes above the fork grain
+  // (MulContext::spawn_flops); a 256³ multiply has only its root there.
+  const GemmProfile profile = run_profiled(512, cfg);
   EXPECT_TRUE(profile.measured);
   EXPECT_GT(profile.tasks_traced, 10u);
   EXPECT_GT(profile.measured_work, 0.0);
