@@ -2,8 +2,10 @@
 
 #include <array>
 #include <cassert>
+#include <utility>
 
 #include "analysis/annotations.hpp"
+#include "core/fast_interpreter.hpp"
 #include "core/kernels.hpp"
 
 namespace rla {
@@ -12,13 +14,8 @@ namespace treeprof = obs::treeprof;
 
 namespace {
 
-ConstMatrixView sub(ConstMatrixView v, std::uint32_t r0, std::uint32_t c0,
-                    std::uint32_t rows, std::uint32_t cols) {
-  return {v.data + static_cast<std::size_t>(c0) * v.ld + r0, v.ld, rows, cols};
-}
-
-MatrixView sub(MatrixView v, std::uint32_t r0, std::uint32_t c0, std::uint32_t rows,
-               std::uint32_t cols) {
+template <typename V>  // MatrixView or ConstMatrixView
+V sub(V v, std::uint32_t r0, std::uint32_t c0, std::uint32_t rows, std::uint32_t cols) {
   return {v.data + static_cast<std::size_t>(c0) * v.ld + r0, v.ld, rows, cols};
 }
 
@@ -34,80 +31,6 @@ void leaf(const CanonContext& ctx, MatrixView c, ConstMatrixView a,
 bool canon_cancelled(const CanonContext& ctx) noexcept {
   return ctx.cancel != nullptr && ctx.cancel->load(std::memory_order_relaxed);
 }
-
-// Column-major multi-operand accumulators over views (the canonical-path
-// counterparts of the tiled block_accN routines).
-void sacc2(MatrixView d, double s1, ConstMatrixView p1, double s2,
-           ConstMatrixView p2) {
-  RLA_RACE_WRITE_STRIDED(d.data, d.rows * sizeof(double), d.ld * sizeof(double),
-                         d.cols);
-  RLA_RACE_READ_STRIDED(p1.data, p1.rows * sizeof(double),
-                        p1.ld * sizeof(double), p1.cols);
-  RLA_RACE_READ_STRIDED(p2.data, p2.rows * sizeof(double),
-                        p2.ld * sizeof(double), p2.cols);
-  for (std::uint32_t j = 0; j < d.cols; ++j) {
-    vacc2(&d(0, j), s1, &p1(0, j), s2, &p2(0, j), d.rows);
-  }
-}
-
-void sacc3(MatrixView d, double s1, ConstMatrixView p1, double s2,
-           ConstMatrixView p2, double s3, ConstMatrixView p3) {
-  RLA_RACE_WRITE_STRIDED(d.data, d.rows * sizeof(double), d.ld * sizeof(double),
-                         d.cols);
-  RLA_RACE_READ_STRIDED(p1.data, p1.rows * sizeof(double),
-                        p1.ld * sizeof(double), p1.cols);
-  RLA_RACE_READ_STRIDED(p2.data, p2.rows * sizeof(double),
-                        p2.ld * sizeof(double), p2.cols);
-  RLA_RACE_READ_STRIDED(p3.data, p3.rows * sizeof(double),
-                        p3.ld * sizeof(double), p3.cols);
-  for (std::uint32_t j = 0; j < d.cols; ++j) {
-    vacc3(&d(0, j), s1, &p1(0, j), s2, &p2(0, j), s3, &p3(0, j), d.rows);
-  }
-}
-
-void sacc4(MatrixView d, double s1, ConstMatrixView p1, double s2,
-           ConstMatrixView p2, double s3, ConstMatrixView p3, double s4,
-           ConstMatrixView p4) {
-  RLA_RACE_WRITE_STRIDED(d.data, d.rows * sizeof(double), d.ld * sizeof(double),
-                         d.cols);
-  RLA_RACE_READ_STRIDED(p1.data, p1.rows * sizeof(double),
-                        p1.ld * sizeof(double), p1.cols);
-  RLA_RACE_READ_STRIDED(p2.data, p2.rows * sizeof(double),
-                        p2.ld * sizeof(double), p2.cols);
-  RLA_RACE_READ_STRIDED(p3.data, p3.rows * sizeof(double),
-                        p3.ld * sizeof(double), p3.cols);
-  RLA_RACE_READ_STRIDED(p4.data, p4.rows * sizeof(double),
-                        p4.ld * sizeof(double), p4.cols);
-  for (std::uint32_t j = 0; j < d.cols; ++j) {
-    vacc4(&d(0, j), s1, &p1(0, j), s2, &p2(0, j), s3, &p3(0, j), s4, &p4(0, j),
-          d.rows);
-  }
-}
-
-void sset_add(MatrixView d, ConstMatrixView a, double sb, ConstMatrixView b) {
-  strided_set_add(d.data, d.ld, a.data, a.ld, sb, b.data, b.ld, d.rows, d.cols);
-}
-
-void sacc(MatrixView d, double s, ConstMatrixView src) {
-  strided_acc(d.data, d.ld, s, src.data, src.ld, d.rows, d.cols);
-}
-
-template <typename F>
-void fork(TaskGroup& group, bool parallel, F&& f) {
-  if (parallel) {
-    group.spawn(std::forward<F>(f));
-  } else {
-    f();
-  }
-}
-
-std::uint64_t flops(std::uint64_t m, std::uint64_t n, std::uint64_t k) {
-  return 2 * m * n * k;
-}
-
-struct Quads {
-  std::uint32_t h;
-};
 
 }  // namespace
 
@@ -133,326 +56,137 @@ void canon_standard(const CanonContext& ctx, MatrixView c, ConstMatrixView a,
   const auto [me, mp] = bounds(m);
   const auto [ne, np] = bounds(n);
   const auto [ke, kp] = bounds(k);
-  const bool par =
-      analysis::detection_active() ||
-      (!ctx.pool->serial() && flops(m, n, k) >= ctx.spawn_flops);
+  const bool par = analysis::detection_active() ||
+                   (!ctx.pool->serial() && 2ull * m * n * k >= ctx.spawn_flops);
 
-  TaskGroup group(*ctx.pool, nullptr, ctx.priority);
-  for (std::size_t mi = 0; mi < mp; ++mi) {
-    for (std::size_t nj = 0; nj < np; ++nj) {
-      const std::uint32_t r0 = me[mi], rows = me[mi + 1] - me[mi];
-      const std::uint32_t c0 = ne[nj], cols = ne[nj + 1] - ne[nj];
-      MatrixView cc = sub(c, r0, c0, rows, cols);
-      // Tree addresses follow the tiled recursion's convention: C-quadrant
-      // products of the first k-half are children 0..3, the second k-half
-      // 4..7.
-      const unsigned ci = static_cast<unsigned>(mi * 2 + nj);
-      fork(group, par, [=, &ctx, &ke = ke, kp = kp] {
-        if (kp == 1) {
-          canon_standard(ctx, cc, sub(a, r0, 0, rows, k), sub(b, 0, c0, k, cols),
-                         treeprof::child_path(path, ci));
-          return;
-        }
-        const std::uint32_t k1 = ke[1];
-        ConstMatrixView a1 = sub(a, r0, 0, rows, k1);
-        ConstMatrixView a2 = sub(a, r0, k1, rows, k - k1);
-        ConstMatrixView b1 = sub(b, 0, c0, k1, cols);
-        ConstMatrixView b2 = sub(b, k1, c0, k - k1, cols);
-        if (ctx.standard_variant == StandardVariant::Temporaries && par) {
-          // Paper Fig. 1(a) parallel form: both k-halves at once, the second
-          // into a temporary folded in by a post-addition.
-          Matrix tmp(rows, cols);
-          TaskGroup inner(*ctx.pool, nullptr, ctx.priority);
-          inner.spawn([=, &ctx] {
-            canon_standard(ctx, cc, a1, b1, treeprof::child_path(path, ci));
-          });
-          inner.spawn([&tmp, a2, b2, &ctx, path, ci] {
-            tmp.zero();
-            canon_standard(ctx, tmp.view(), a2, b2,
-                           treeprof::child_path(path, 4 + ci));
-          });
-          inner.wait();
-          treeprof::NodeScope add_node(path);
-          sacc(cc, 1.0, tmp.view());
-          treeprof::add_flops(static_cast<std::uint64_t>(rows) * cols);
-        } else {
-          canon_standard(ctx, cc, a1, b1, treeprof::child_path(path, ci));
-          canon_standard(ctx, cc, a2, b2, treeprof::child_path(path, 4 + ci));
-        }
-      });
+  // Piece i covers C block (i / np, i % np). Tree addresses follow the tiled
+  // recursion's convention: C-quadrant products of the first k-half are
+  // children 0..3, the second k-half 4..7.
+  auto piece = [&](std::size_t i) {
+    const std::size_t mi = i / np, nj = i % np;
+    const std::uint32_t r0 = me[mi], rows = me[mi + 1] - me[mi];
+    const std::uint32_t c0 = ne[nj], cols = ne[nj + 1] - ne[nj];
+    const MatrixView cc = sub(c, r0, c0, rows, cols);
+    const unsigned ci = static_cast<unsigned>(mi * 2 + nj);
+    if (kp == 1) {
+      canon_standard(ctx, cc, sub(a, r0, 0, rows, k), sub(b, 0, c0, k, cols),
+                     treeprof::child_path(path, ci));
+      return;
     }
+    const std::uint32_t k1 = ke[1];
+    const ConstMatrixView a1 = sub(a, r0, 0, rows, k1);
+    const ConstMatrixView a2 = sub(a, r0, k1, rows, k - k1);
+    const ConstMatrixView b1 = sub(b, 0, c0, k1, cols);
+    const ConstMatrixView b2 = sub(b, k1, c0, k - k1, cols);
+    if (ctx.standard_variant == StandardVariant::Temporaries && par) {
+      // Paper Fig. 1(a) parallel form: both k-halves at once, the second
+      // into a temporary folded in by a post-addition.
+      Matrix tmp(rows, cols);
+      wave(*ctx.pool, nullptr, ctx.priority, true,
+           [&] { canon_standard(ctx, cc, a1, b1, treeprof::child_path(path, ci)); },
+           [&] {
+             tmp.zero();
+             canon_standard(ctx, tmp.view(), a2, b2, treeprof::child_path(path, 4 + ci));
+           });
+      treeprof::NodeScope add_node(path);
+      strided_acc(cc.data, cc.ld, 1.0, tmp.data(), tmp.ld(), rows, cols);
+      treeprof::add_flops(static_cast<std::uint64_t>(rows) * cols);
+    } else {
+      canon_standard(ctx, cc, a1, b1, treeprof::child_path(path, ci));
+      canon_standard(ctx, cc, a2, b2, treeprof::child_path(path, 4 + ci));
+    }
+  };
+  auto fork = [&](auto... i) {
+    wave(*ctx.pool, nullptr, ctx.priority, par, [&piece, i] { piece(i); }...);
+  };
+  switch (mp * np) {
+    case 4:
+      return fork(0u, 1u, 2u, 3u);
+    case 2:
+      return fork(0u, 1u);
+    default:
+      return fork(0u);
   }
-  group.wait();
 }
 
 namespace {
 
-/// Shared implementation of the two fast canonical recursions.
-template <typename Recurse>
-void canon_fast_node(const CanonContext& ctx, MatrixView c, ConstMatrixView a,
-                     ConstMatrixView b, bool winograd, std::uint64_t path,
-                     Recurse&& recurse) {
-  if (canon_cancelled(ctx)) return;
-  treeprof::NodeScope tree_node(path);
-  const std::uint32_t s = c.rows;
-  assert(c.cols == s && a.cols == s && b.rows == s);
-  if (s <= ctx.leaf || (s & 1) != 0) {
-    leaf(ctx, c, a, b);
-    return;
-  }
-  const std::uint32_t h = s / 2;
-  const std::uint64_t hh = static_cast<std::uint64_t>(h) * h;
-  const bool par = analysis::detection_active() ||
-                   (!ctx.pool->serial() && flops(s, s, s) >= ctx.spawn_flops);
-  // Runs `body` (a pre- or post-addition of this node) inside the node's own
-  // treeprof frame, crediting `passes` full-quadrant element passes, forked
-  // like any other node work.
-  auto node_add = [par, path, hh](TaskGroup& g, std::uint64_t passes,
-                                  auto body) {
-    fork(g, par, [=] {
-      treeprof::NodeScope add_node(path);
-      body();
-      treeprof::add_flops(passes * hh);
-    });
-  };
+/// The fast-algorithm interpreter's adapter for canonical views. The variant
+/// alone picks the form; temporaries are compact (ld == h): each level of
+/// the fast recursions halves the leading dimension (paper §5.1).
+struct CanonOps {
+  using In = ConstMatrixView;
+  using Out = MatrixView;
+  using Temp = Matrix;
+  static constexpr bool kAddPhases = false;
 
-  ConstMatrixView a11 = sub(a, 0, 0, h, h), a12 = sub(a, 0, h, h, h);
-  ConstMatrixView a21 = sub(a, h, 0, h, h), a22 = sub(a, h, h, h, h);
-  ConstMatrixView b11 = sub(b, 0, 0, h, h), b12 = sub(b, 0, h, h, h);
-  ConstMatrixView b21 = sub(b, h, 0, h, h), b22 = sub(b, h, h, h, h);
-  MatrixView c11 = sub(c, 0, 0, h, h), c12 = sub(c, 0, h, h, h);
-  MatrixView c21 = sub(c, h, 0, h, h), c22 = sub(c, h, h, h, h);
+  const CanonContext& ctx;
 
-  // Temporaries are compact (ld == h): each level of the fast recursions
-  // halves the leading dimension (paper §5.1).
-  const int n_s = winograd ? 4 : 5;
-  const int n_t = winograd ? 4 : 5;
-  std::array<Matrix, 5> S, T;
-  std::array<Matrix, 7> P;
-  for (int i = 0; i < n_s; ++i) S[static_cast<std::size_t>(i)] = Matrix(h, h);
-  for (int i = 0; i < n_t; ++i) T[static_cast<std::size_t>(i)] = Matrix(h, h);
-  for (auto& p : P) p = Matrix(h, h);
-  auto sv = [&](int i) { return S[static_cast<std::size_t>(i - 1)].view(); };
-  auto tv = [&](int i) { return T[static_cast<std::size_t>(i - 1)].view(); };
-  auto pv = [&](int i) { return P[static_cast<std::size_t>(i - 1)].view(); };
-
-  {
-    TaskGroup group(*ctx.pool, nullptr, ctx.priority);
-    if (!winograd) {
-      node_add(group, 1, [&] { sset_add(sv(1), a11, +1.0, a22); });
-      node_add(group, 1, [&] { sset_add(sv(2), a21, +1.0, a22); });
-      // S3 = A11 + A12 (see the sign note in recursion.cpp).
-      node_add(group, 1, [&] { sset_add(sv(3), a11, +1.0, a12); });
-      node_add(group, 1, [&] { sset_add(sv(4), a21, -1.0, a11); });
-      node_add(group, 1, [&] { sset_add(sv(5), a12, -1.0, a22); });
-      node_add(group, 1, [&] { sset_add(tv(1), b11, +1.0, b22); });
-      node_add(group, 1, [&] { sset_add(tv(2), b12, -1.0, b22); });
-      node_add(group, 1, [&] { sset_add(tv(3), b21, -1.0, b11); });
-      node_add(group, 1, [&] { sset_add(tv(4), b11, +1.0, b12); });
-      node_add(group, 1, [&] { sset_add(tv(5), b21, +1.0, b22); });
-    } else {
-      node_add(group, 3, [&] {
-        sset_add(sv(1), a21, +1.0, a22);
-        sset_add(sv(2), sv(1), -1.0, a11);
-        sset_add(sv(4), a12, -1.0, sv(2));
-      });
-      node_add(group, 1, [&] { sset_add(sv(3), a11, -1.0, a21); });
-      node_add(group, 3, [&] {
-        sset_add(tv(1), b12, -1.0, b11);
-        sset_add(tv(2), b22, -1.0, tv(1));
-        sset_add(tv(4), b21, -1.0, tv(2));
-      });
-      node_add(group, 1, [&] { sset_add(tv(3), b22, -1.0, b12); });
+  fast::Form node(MatrixView c, ConstMatrixView a, ConstMatrixView b,
+                  std::uint64_t path) const {
+    if (canon_cancelled(ctx)) return fast::Form::Done;
+    const std::uint64_t s = c.rows;
+    assert(c.cols == s && a.cols == s && b.rows == s);
+    if (s <= ctx.leaf || (s & 1) != 0) {
+      treeprof::NodeScope tree_node(path);
+      leaf(ctx, c, a, b);
+      return fast::Form::Done;
     }
-    group.wait();
+    if (ctx.fast_variant == FastVariant::SerialLowMem) return fast::Form::LowMemory;
+    const bool fork = analysis::detection_active() ||
+                      (!ctx.pool->serial() && 2 * s * s * s >= ctx.spawn_flops);
+    return fork ? fast::Form::Fork : fast::Form::Inline;
   }
-  {
-    TaskGroup group(*ctx.pool, nullptr, ctx.priority);
-    auto product = [&](unsigned idx, MatrixView dst, ConstMatrixView x,
-                       ConstMatrixView y) {
-      return [=, &ctx, &recurse] {
-        strided_scale(dst.data, dst.ld, 0.0, dst.rows, dst.cols);
-        recurse(ctx, dst, x, y, treeprof::child_path(path, idx));
-      };
-    };
-    if (!winograd) {
-      fork(group, par, product(0, pv(1), sv(1), tv(1)));
-      fork(group, par, product(1, pv(2), sv(2), b11));
-      fork(group, par, product(2, pv(3), a11, tv(2)));
-      fork(group, par, product(3, pv(4), a22, tv(3)));
-      fork(group, par, product(4, pv(5), sv(3), b22));
-      fork(group, par, product(5, pv(6), sv(4), tv(4)));
-      fork(group, par, product(6, pv(7), sv(5), tv(5)));
-    } else {
-      fork(group, par, product(0, pv(1), a11, b11));
-      fork(group, par, product(1, pv(2), a12, b21));
-      fork(group, par, product(2, pv(3), sv(1), tv(1)));
-      fork(group, par, product(3, pv(4), sv(2), tv(2)));
-      fork(group, par, product(4, pv(5), sv(3), tv(3)));
-      fork(group, par, product(5, pv(6), sv(4), b22));
-      fork(group, par, product(6, pv(7), a22, tv(4)));
+  static Matrix temp(ConstMatrixView like) { return Matrix(like.rows, like.cols); }
+  static MatrixView view(Matrix& t) { return t.view(); }
+  static void zero(Matrix& t) { t.zero(); }
+  template <typename V>
+  static V quadrant(V v, int q) {
+    const std::uint32_t h = v.rows / 2;
+    return sub(v, static_cast<std::uint32_t>(q >> 1) * h,
+               static_cast<std::uint32_t>(q & 1) * h, h, h);
+  }
+  static std::uint64_t elems(MatrixView v) {
+    return static_cast<std::uint64_t>(v.rows) * v.cols;
+  }
+  void set_add(MatrixView d, ConstMatrixView x, double sign, ConstMatrixView y) const {
+    strided_set_add(d.data, d.ld, x.data, x.ld, sign, y.data, y.ld, d.rows, d.cols);
+  }
+  /// d += Σ c·p over (c, p) pairs, column by column.
+  template <typename... T>
+  void acc(MatrixView d, const T&... cp) const {
+    RLA_RACE_WRITE_STRIDED(d.data, d.rows * sizeof(double), d.ld * sizeof(double),
+                           d.cols);
+    (race_read(cp), ...);
+    for (std::uint32_t j = 0; j < d.cols; ++j) {
+      if constexpr (sizeof...(T) == 2) vacc(&d(0, j), column(cp, j)..., d.rows);
+      if constexpr (sizeof...(T) == 4) vacc2(&d(0, j), column(cp, j)..., d.rows);
+      if constexpr (sizeof...(T) == 6) vacc3(&d(0, j), column(cp, j)..., d.rows);
+      if constexpr (sizeof...(T) == 8) vacc4(&d(0, j), column(cp, j)..., d.rows);
     }
-    group.wait();
   }
-  TaskGroup group(*ctx.pool, nullptr, ctx.priority);
-  if (!winograd) {
-    node_add(group, 4, [&] { sacc4(c11, +1.0, pv(1), +1.0, pv(4), -1.0, pv(5), +1.0, pv(7)); });
-    node_add(group, 2, [&] { sacc2(c21, +1.0, pv(2), +1.0, pv(4)); });
-    node_add(group, 2, [&] { sacc2(c12, +1.0, pv(3), +1.0, pv(5)); });
-    node_add(group, 4, [&] { sacc4(c22, +1.0, pv(1), +1.0, pv(3), -1.0, pv(2), +1.0, pv(6)); });
-  } else {
-    node_add(group, 2, [&] { sacc2(c11, +1.0, pv(1), +1.0, pv(2)); });
-    node_add(group, 2, [&] {
-      sacc(pv(4), 1.0, pv(1));  // U2 = P1 + P4
-      sacc(pv(5), 1.0, pv(4));  // U3 = U2 + P5
-      TaskGroup inner(*ctx.pool, nullptr, ctx.priority);
-      node_add(inner, 2, [&] { sacc2(c21, +1.0, pv(5), +1.0, pv(7)); });
-      node_add(inner, 2, [&] { sacc2(c22, +1.0, pv(5), +1.0, pv(3)); });
-      node_add(inner, 3, [&] { sacc3(c12, +1.0, pv(4), +1.0, pv(3), +1.0, pv(6)); });
-      inner.wait();
-    });
+  static void race_read(double) {}
+  static void race_read([[maybe_unused]] ConstMatrixView v) {
+    RLA_RACE_READ_STRIDED(v.data, v.rows * sizeof(double), v.ld * sizeof(double), v.cols);
   }
-  group.wait();
-}
-
-/// Paper §5.1's sequential space-conserving variant on canonical views:
-/// one S, one T, one P buffer; see the tiled counterpart in recursion.cpp.
-void canon_fast_lowmem(const CanonContext& ctx, bool winograd, MatrixView c,
-                       ConstMatrixView a, ConstMatrixView b,
-                       std::uint64_t path) {
-  if (canon_cancelled(ctx)) return;
-  treeprof::NodeScope tree_node(path);
-  const std::uint32_t size = c.rows;
-  if (size <= ctx.leaf || (size & 1) != 0) {
-    leaf(ctx, c, a, b);
-    return;
+  static double column(double s, std::uint32_t) { return s; }
+  static const double* column(ConstMatrixView v, std::uint32_t j) { return &v(0, j); }
+  template <typename... F>
+  void wave(bool fork, F&&... fs) const {
+    rla::wave(*ctx.pool, nullptr, ctx.priority, fork, std::forward<F>(fs)...);
   }
-  const std::uint32_t h = size / 2;
-  const std::uint64_t hh = static_cast<std::uint64_t>(h) * h;
-  ConstMatrixView a11 = sub(a, 0, 0, h, h), a12 = sub(a, 0, h, h, h);
-  ConstMatrixView a21 = sub(a, h, 0, h, h), a22 = sub(a, h, h, h, h);
-  ConstMatrixView b11 = sub(b, 0, 0, h, h), b12 = sub(b, 0, h, h, h);
-  ConstMatrixView b21 = sub(b, h, 0, h, h), b22 = sub(b, h, h, h, h);
-  MatrixView c11 = sub(c, 0, 0, h, h), c12 = sub(c, 0, h, h, h);
-  MatrixView c21 = sub(c, h, 0, h, h), c22 = sub(c, h, h, h, h);
-
-  Matrix s_buf(h, h), t_buf(h, h), p_buf(h, h);
-  MatrixView s = s_buf.view(), t = t_buf.view(), p = p_buf.view();
-  // Products are the node's children 0..6, in P1..P7 emission order (both
-  // branches run all seven); the serial adds between them stay on this
-  // node's frame, credited one element pass per call.
-  unsigned next_child = 0;
-  auto product = [&](ConstMatrixView x, ConstMatrixView y) {
-    p_buf.zero();
-    canon_fast_lowmem(ctx, winograd, p, x, y,
-                      treeprof::child_path(path, next_child++));
-  };
-  auto add = [&](MatrixView d, ConstMatrixView x, double sb, ConstMatrixView y) {
-    sset_add(d, x, sb, y);
-    treeprof::add_flops(hh);
-  };
-  auto acc = [&](MatrixView d, double sc, ConstMatrixView src) {
-    sacc(d, sc, src);
-    treeprof::add_flops(hh);
-  };
-
-  if (!winograd) {
-    sset_add(s, a11, +1.0, a22);
-    sset_add(t, b11, +1.0, b22);
-    product(s, t);  // P1 -> C11, C22
-    sacc(c11, +1.0, p);
-    sacc(c22, +1.0, p);
-    sset_add(s, a21, +1.0, a22);
-    product(s, b11);  // P2 -> C21, -C22
-    sacc(c21, +1.0, p);
-    sacc(c22, -1.0, p);
-    sset_add(t, b12, -1.0, b22);
-    product(a11, t);  // P3 -> C12, C22
-    sacc(c12, +1.0, p);
-    sacc(c22, +1.0, p);
-    sset_add(t, b21, -1.0, b11);
-    product(a22, t);  // P4 -> C11, C21
-    sacc(c11, +1.0, p);
-    sacc(c21, +1.0, p);
-    sset_add(s, a11, +1.0, a12);
-    product(s, b22);  // P5 -> -C11, C12
-    sacc(c11, -1.0, p);
-    sacc(c12, +1.0, p);
-    sset_add(s, a21, -1.0, a11);
-    sset_add(t, b11, +1.0, b12);
-    product(s, t);  // P6 -> C22
-    sacc(c22, +1.0, p);
-    sset_add(s, a12, -1.0, a22);
-    sset_add(t, b21, +1.0, b22);
-    product(s, t);  // P7 -> C11
-    sacc(c11, +1.0, p);
-    return;
-  }
-
-  // Winograd with expanded U-chains (see recursion.cpp).
-  product(a11, b11);  // P1 -> all four
-  acc(c11, +1.0, p);
-  acc(c21, +1.0, p);
-  acc(c22, +1.0, p);
-  acc(c12, +1.0, p);
-  product(a12, b21);  // P2 -> C11
-  acc(c11, +1.0, p);
-  add(s, a21, +1.0, a22);
-  add(t, b12, -1.0, b11);
-  product(s, t);  // P3 -> C22, C12
-  acc(c22, +1.0, p);
-  acc(c12, +1.0, p);
-  add(s, a21, +1.0, a22);
-  acc(s, -1.0, a11);
-  add(t, b22, -1.0, b12);
-  acc(t, +1.0, b11);
-  product(s, t);  // P4 -> C21, C22, C12
-  acc(c21, +1.0, p);
-  acc(c22, +1.0, p);
-  acc(c12, +1.0, p);
-  add(s, a11, -1.0, a21);
-  add(t, b22, -1.0, b12);
-  product(s, t);  // P5 -> C21, C22
-  acc(c21, +1.0, p);
-  acc(c22, +1.0, p);
-  add(s, a12, -1.0, a21);
-  acc(s, -1.0, a22);
-  acc(s, +1.0, a11);
-  product(s, b22);  // P6 -> C12
-  acc(c12, +1.0, p);
-  add(t, b21, -1.0, b22);
-  acc(t, +1.0, b12);
-  acc(t, -1.0, b11);
-  product(a22, t);  // P7 -> C21
-  acc(c21, +1.0, p);
-}
+};
 
 }  // namespace
 
 void canon_strassen(const CanonContext& ctx, MatrixView c, ConstMatrixView a,
                     ConstMatrixView b, std::uint64_t path) {
-  if (ctx.fast_variant == FastVariant::SerialLowMem) {
-    canon_fast_lowmem(ctx, /*winograd=*/false, c, a, b, path);
-    return;
-  }
-  canon_fast_node(ctx, c, a, b, /*winograd=*/false, path,
-                  [](const CanonContext& cx, MatrixView cc, ConstMatrixView aa,
-                     ConstMatrixView bb, std::uint64_t p) {
-                    canon_strassen(cx, cc, aa, bb, p);
-                  });
+  fast::run<fast::kStrassen>(CanonOps{ctx}, c, a, b, path);
 }
 
 void canon_winograd(const CanonContext& ctx, MatrixView c, ConstMatrixView a,
                     ConstMatrixView b, std::uint64_t path) {
-  if (ctx.fast_variant == FastVariant::SerialLowMem) {
-    canon_fast_lowmem(ctx, /*winograd=*/true, c, a, b, path);
-    return;
-  }
-  canon_fast_node(ctx, c, a, b, /*winograd=*/true, path,
-                  [](const CanonContext& cx, MatrixView cc, ConstMatrixView aa,
-                     ConstMatrixView bb, std::uint64_t p) {
-                    canon_winograd(cx, cc, aa, bb, p);
-                  });
+  fast::run<fast::kWinograd>(CanonOps{ctx}, c, a, b, path);
 }
 
 }  // namespace rla

@@ -80,21 +80,8 @@ inline bool above_grain(const MulContext& ctx, std::uint64_t flops) noexcept {
 /// spawn a node's children as tasks when it is above the grain and the pool
 /// is parallel. Under the race detector such forks become logical tasks on
 /// the serial pool it runs on, so it certifies the DAG a parallel pool runs.
+/// The recursions fork with `wave` (parallel/worker_pool.hpp).
 bool spawn_here(const MulContext& ctx, std::uint64_t flops);
-
-/// One fork-join wave of every tiled recursion: the callables are spawned
-/// into one TaskGroup when `par` (a spawn_here result), and called in order
-/// on the current thread otherwise, with no group built.
-template <typename... F>
-void wave(const MulContext& ctx, bool par, F&&... fs) {
-  if (!par) {
-    (fs(), ...);
-    return;
-  }
-  TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-  (group.spawn(std::forward<F>(fs)), ...);
-  group.wait();
-}
 
 // Each routine carries its node's quadrant path (obs/treeprof/ encoding) so
 // an armed tree-profiling session can attribute cost per recursion-tree
@@ -108,12 +95,14 @@ void mul_standard(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
                   const TiledBlock& b,
                   std::uint64_t path = obs::treeprof::kRootPath);
 
-/// C += A·B, Strassen's 7-multiply recurrence (Fig. 1(b)).
+/// C += A·B, Strassen's 7-multiply recurrence (Fig. 1(b)): the program
+/// fast::kStrassen run by the fast-algorithm interpreter
+/// (core/fast_interpreter.hpp).
 void mul_strassen(const MulContext& ctx, const TiledBlock& c, const TiledBlock& a,
                   const TiledBlock& b,
                   std::uint64_t path = obs::treeprof::kRootPath);
 
-/// C += A·B, Winograd's variant (Fig. 1(c)).
+/// C += A·B, Winograd's variant (Fig. 1(c)): the program fast::kWinograd.
 void mul_winograd(const MulContext& ctx, const TiledBlock& c, const TiledBlock& a,
                   const TiledBlock& b,
                   std::uint64_t path = obs::treeprof::kRootPath);

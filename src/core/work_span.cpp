@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "core/fast_program.hpp"
 #include "layout/tiled_layout.hpp"
 
 namespace rla {
@@ -42,34 +43,43 @@ struct Model {
     return r;
   }
 
-  WorkSpan fast(int l, bool winograd) const {
+  WorkSpan fast(int l, const fast::Plan& plan) const {
     if (l <= p.fast_cutoff_level) return standard(l);
-    const WorkSpan child = fast(l - 1, winograd);
+    const WorkSpan child = fast(l - 1, plan);
     const double a = ea(l - 1), b = eb(l - 1), c = ec(l - 1);
+    // Flops of a step: one per destination element per elementwise pass.
+    auto cost = [&](const fast::Step& st) {
+      const fast::Kind k = st.dst.kind;
+      return st.passes() * (k == fast::Kind::S ? a : k == fast::Kind::T ? b : c);
+    };
+    auto work = [&](const auto& steps) {
+      double w = 0.0;
+      for (int i = 0; i < steps.n; ++i) w += cost(steps.s[i]);
+      return w;
+    };
+    // Seven zeroed products, plus the additions. The §5.1 form is entirely
+    // sequential (span equals work). The parallel form runs a wave of
+    // pre-addition tasks, the products, then a wave of post tasks, each
+    // wave as long as its longest task.
     if (p.fast_variant == FastVariant::SerialLowMem) {
-      // Entirely sequential: span equals work. Expanded post-additions
-      // (18 for Strassen: 7 zeros + 11 C accumulations; Winograd expanded
-      // costs more adds than its parallel form — that is the trade).
-      const double pre = winograd ? (6.0 * a + 6.0 * b) : (5.0 * a + 5.0 * b);
-      const double post = winograd ? 14.0 * c : 11.0 * c;
-      WorkSpan r;
-      r.work = 7.0 * child.work + pre + 7.0 * c /*zeros*/ + post;
-      r.span = r.work;
-      return r;
+      const double w = 7.0 * child.work + 7.0 * c + work(plan.low);
+      return {w, w};
     }
-    WorkSpan r;
-    if (!winograd) {
-      // Strassen: 10 parallel pre-adds; 7 parallel (zero + product); post
-      // adds 4+2+2+4 element-passes, in parallel.
-      r.work = 7.0 * child.work + 5.0 * a + 5.0 * b + 7.0 * c + 12.0 * c;
-      r.span = std::max(a, b) + (c + child.span) + 4.0 * c;
-    } else {
-      // Winograd: two 3-add chains (+1 independent) per side; 7 parallel
-      // products; U-chain post-adds (see recursion.cpp).
-      r.work = 7.0 * child.work + 4.0 * a + 4.0 * b + 7.0 * c + 11.0 * c;
-      r.span = 3.0 * std::max(a, b) + (c + child.span) + 5.0 * c;
+    double adds = 0.0, pre = 0.0, post = 0.0;
+    for (int i = 0; i < plan.n_pre; ++i) {
+      adds += work(plan.pre[i]);
+      pre = std::max(pre, work(plan.pre[i]));
     }
-    return r;
+    for (int i = 0; i < plan.n_post; ++i) {
+      const fast::PostTask& task = plan.post[i];
+      double after = 0.0;
+      for (int j = 0; j < task.after.n; ++j) {
+        after = std::max(after, cost(task.after.s[j]));
+      }
+      adds += work(task.serial) + work(task.after);
+      post = std::max(post, work(task.serial) + after);
+    }
+    return {7.0 * child.work + 7.0 * c + adds, pre + (c + child.span) + post};
   }
 };
 
@@ -81,9 +91,9 @@ WorkSpan analyze_work_span(const WorkSpanParams& params) {
     case Algorithm::Standard:
       return m.standard(params.depth);
     case Algorithm::Strassen:
-      return m.fast(params.depth, false);
+      return m.fast(params.depth, fast::plan_of<fast::kStrassen>);
     case Algorithm::Winograd:
-      return m.fast(params.depth, true);
+      return m.fast(params.depth, fast::plan_of<fast::kWinograd>);
   }
   return {};
 }

@@ -10,7 +10,8 @@
 // in which every node forks with the parallel forms of recursion.cpp: leaf
 // multiplies cost 2·t_m·t_k·t_n flops, quadrant additions one flop per
 // element (multi-operand adds one per operand), temporary zeroing one store
-// per element. The executed recursion forks only at or above
+// per element. The fast algorithms' passes and task structure are read from
+// their programs (core/fast_program.hpp), as the interpreter runs them. The executed recursion forks only at or above
 // MulContext::spawn_flops and runs serial forms below it, so its measured
 // parallelism (GemmProfile::achieved_parallelism) is lower by design.
 

@@ -104,11 +104,13 @@ void mul_nt(const MulContext& ctx, double alpha, const TiledBlock& c,
   const TiledBlock b11 = b.quadrant(kNW), b12 = b.quadrant(kNE);
   const TiledBlock b21 = b.quadrant(kSW), b22 = b.quadrant(kSE);
   // C_ij += alpha Σ_k A_ik (B_jk)ᵀ, two accumulating phases of four.
-  wave(ctx, par, [&] { mul_nt(ctx, alpha, c11, a11, b11); },
+  wave(*ctx.pool, ctx.cancel, ctx.priority, par,
+       [&] { mul_nt(ctx, alpha, c11, a11, b11); },
        [&] { mul_nt(ctx, alpha, c12, a11, b21); },
        [&] { mul_nt(ctx, alpha, c21, a21, b11); },
        [&] { mul_nt(ctx, alpha, c22, a21, b21); });
-  wave(ctx, par, [&] { mul_nt(ctx, alpha, c11, a12, b12); },
+  wave(*ctx.pool, ctx.cancel, ctx.priority, par,
+       [&] { mul_nt(ctx, alpha, c11, a12, b12); },
        [&] { mul_nt(ctx, alpha, c12, a12, b22); },
        [&] { mul_nt(ctx, alpha, c21, a22, b12); },
        [&] { mul_nt(ctx, alpha, c22, a22, b22); });
@@ -130,7 +132,8 @@ void trsm_right_lower_transposed(const MulContext& ctx, const TiledBlock& x,
     mul_nt(ctx, -1.0, x2, x1, l21);
     trsm_right_lower_transposed(ctx, x2, l22);
   };
-  wave(ctx, par, [&] { row(x.quadrant(kNW), x.quadrant(kNE)); },
+  wave(*ctx.pool, ctx.cancel, ctx.priority, par,
+       [&] { row(x.quadrant(kNW), x.quadrant(kNE)); },
        [&] { row(x.quadrant(kSW), x.quadrant(kSE)); });
 }
 
@@ -150,7 +153,7 @@ void syrk_lower_update(const MulContext& ctx, const TiledBlock& c,
   const TiledBlock a11 = a.quadrant(kNW), a12 = a.quadrant(kNE);
   const TiledBlock a21 = a.quadrant(kSW), a22 = a.quadrant(kSE);
   wave(
-      ctx, par,
+      *ctx.pool, ctx.cancel, ctx.priority, par,
       [&] {
         syrk_lower_update(ctx, c11, a11);
         syrk_lower_update(ctx, c11, a12);

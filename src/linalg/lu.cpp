@@ -91,11 +91,13 @@ void mul_nn(const MulContext& ctx, double alpha, const TiledBlock& c,
   const TiledBlock a21 = a.quadrant(kSW), a22 = a.quadrant(kSE);
   const TiledBlock b11 = b.quadrant(kNW), b12 = b.quadrant(kNE);
   const TiledBlock b21 = b.quadrant(kSW), b22 = b.quadrant(kSE);
-  wave(ctx, par, [&] { mul_nn(ctx, alpha, c11, a11, b11); },
+  wave(*ctx.pool, ctx.cancel, ctx.priority, par,
+       [&] { mul_nn(ctx, alpha, c11, a11, b11); },
        [&] { mul_nn(ctx, alpha, c12, a11, b12); },
        [&] { mul_nn(ctx, alpha, c21, a21, b11); },
        [&] { mul_nn(ctx, alpha, c22, a21, b12); });
-  wave(ctx, par, [&] { mul_nn(ctx, alpha, c11, a12, b21); },
+  wave(*ctx.pool, ctx.cancel, ctx.priority, par,
+       [&] { mul_nn(ctx, alpha, c11, a12, b21); },
        [&] { mul_nn(ctx, alpha, c12, a12, b22); },
        [&] { mul_nn(ctx, alpha, c21, a22, b21); },
        [&] { mul_nn(ctx, alpha, c22, a22, b22); });
@@ -119,7 +121,8 @@ void trsm_left_unit_lower(const MulContext& ctx, const TiledBlock& x,
     mul_nn(ctx, -1.0, x2, l21, x1);
     trsm_left_unit_lower(ctx, x2, l22);
   };
-  wave(ctx, par, [&] { column(x.quadrant(kNW), x.quadrant(kSW)); },
+  wave(*ctx.pool, ctx.cancel, ctx.priority, par,
+       [&] { column(x.quadrant(kNW), x.quadrant(kSW)); },
        [&] { column(x.quadrant(kNE), x.quadrant(kSE)); });
 }
 
@@ -139,7 +142,8 @@ void trsm_right_upper(const MulContext& ctx, const TiledBlock& x,
     mul_nn(ctx, -1.0, x2, x1, u12);
     trsm_right_upper(ctx, x2, u22);
   };
-  wave(ctx, par, [&] { row(x.quadrant(kNW), x.quadrant(kNE)); },
+  wave(*ctx.pool, ctx.cancel, ctx.priority, par,
+       [&] { row(x.quadrant(kNW), x.quadrant(kNE)); },
        [&] { row(x.quadrant(kSW), x.quadrant(kSE)); });
 }
 
@@ -154,7 +158,7 @@ void lu_block(const MulContext& ctx, const TiledBlock& a) {
   const TiledBlock a21 = a.quadrant(kSW), a22 = a.quadrant(kSE);
   lu_block(ctx, a11);
   // The two panel solves are independent of each other.
-  wave(ctx, spawn_here(ctx, node_flops(a, a)),
+  wave(*ctx.pool, ctx.cancel, ctx.priority, spawn_here(ctx, node_flops(a, a)),
        [&] { trsm_left_unit_lower(ctx, a12, a11); },
        [&] { trsm_right_upper(ctx, a21, a11); });
   mul_nn(ctx, -1.0, a22, a21, a12);

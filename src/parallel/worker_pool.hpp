@@ -318,4 +318,19 @@ class TaskGroup {
   std::uint64_t exception_seq_ RLA_GUARDED_BY(exception_mutex_) = 0;
 };
 
+/// One fork-join wave of every recursion (tiled and canonical multiply, LU,
+/// Cholesky): the callables are spawned into one TaskGroup when `par`, and
+/// called in order on the current thread otherwise, with no group built.
+template <typename... F>
+void wave(WorkerPool& pool, std::atomic<bool>* cancel, int priority, bool par,
+          F&&... fs) {
+  if (!par) {
+    (fs(), ...);
+    return;
+  }
+  TaskGroup group(pool, cancel, priority);
+  (group.spawn(std::forward<F>(fs)), ...);
+  group.wait();
+}
+
 }  // namespace rla

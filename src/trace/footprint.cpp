@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/fast_program.hpp"
 #include "layout/bits.hpp"
 
 namespace rla::trace {
@@ -45,21 +46,11 @@ struct Owner {
   }
 };
 
-void set_add(const SetMat& d, const SetMat& x, const SetMat& y) {
-  for (std::uint32_t i = 0; i < d.size; ++i) {
-    for (std::uint32_t j = 0; j < d.size; ++j) d.at(i, j) = x.at(i, j) + y.at(i, j);
-  }
-}
-
 void acc(const SetMat& d, const SetMat& x) {
   for (std::uint32_t i = 0; i < d.size; ++i) {
     for (std::uint32_t j = 0; j < d.size; ++j) d.at(i, j) += x.at(i, j);
   }
 }
-
-void mul_std(const SetMat& c, const SetMat& a, const SetMat& b);
-void mul_strassen(const SetMat& c, const SetMat& a, const SetMat& b);
-void mul_winograd(const SetMat& c, const SetMat& a, const SetMat& b);
 
 void mul_std(const SetMat& c, const SetMat& a, const SetMat& b) {
   if (c.size == 1) {
@@ -75,108 +66,40 @@ void mul_std(const SetMat& c, const SetMat& a, const SetMat& b) {
   }
 }
 
-template <typename Recurse>
-void mul_fast(const SetMat& c, const SetMat& a, const SetMat& b, bool winograd,
-              Recurse&& recurse) {
+/// Walk program g's parallel form in program order: sums, products, updates.
+void mul_fast(const fast::Program& g, const SetMat& c, const SetMat& a,
+              const SetMat& b) {
   if (c.size == 1) {
     c.at(0, 0) += a.at(0, 0) * b.at(0, 0);
     return;
   }
-  const std::uint32_t h = c.size / 2;
-  (void)h;
-  const SetMat a11 = a.quad(0, 0), a12 = a.quad(0, 1), a21 = a.quad(1, 0),
-               a22 = a.quad(1, 1);
-  const SetMat b11 = b.quad(0, 0), b12 = b.quad(0, 1), b21 = b.quad(1, 0),
-               b22 = b.quad(1, 1);
-  const SetMat c11 = c.quad(0, 0), c12 = c.quad(0, 1), c21 = c.quad(1, 0),
-               c22 = c.quad(1, 1);
-
-  const std::uint32_t hs = c.size / 2;
-  std::vector<Owner> s, t, p;
   // Reserve first: each Owner's view points at its own cell store, so the
   // vectors must never reallocate.
-  s.reserve(5);
-  t.reserve(5);
-  p.reserve(7);
-  for (int i = 0; i < 5; ++i) s.emplace_back(hs);
-  for (int i = 0; i < 5; ++i) t.emplace_back(hs);
-  for (int i = 0; i < 7; ++i) p.emplace_back(hs);
-  auto S = [&](int i) { return s[static_cast<std::size_t>(i - 1)].mat; };
-  auto T = [&](int i) { return t[static_cast<std::size_t>(i - 1)].mat; };
-  auto P = [&](int i) { return p[static_cast<std::size_t>(i - 1)].mat; };
-
-  if (!winograd) {
-    set_add(S(1), a11, a22);
-    set_add(S(2), a21, a22);
-    set_add(S(3), a11, a12);
-    set_add(S(4), a21, a11);
-    set_add(S(5), a12, a22);
-    set_add(T(1), b11, b22);
-    set_add(T(2), b12, b22);
-    set_add(T(3), b21, b11);
-    set_add(T(4), b11, b12);
-    set_add(T(5), b21, b22);
-    recurse(P(1), S(1), T(1));
-    recurse(P(2), S(2), b11);
-    recurse(P(3), a11, T(2));
-    recurse(P(4), a22, T(3));
-    recurse(P(5), S(3), b22);
-    recurse(P(6), S(4), T(4));
-    recurse(P(7), S(5), T(5));
-    acc(c11, P(1));
-    acc(c11, P(4));
-    acc(c11, P(5));
-    acc(c11, P(7));
-    acc(c21, P(2));
-    acc(c21, P(4));
-    acc(c12, P(3));
-    acc(c12, P(5));
-    acc(c22, P(1));
-    acc(c22, P(3));
-    acc(c22, P(2));
-    acc(c22, P(6));
-  } else {
-    set_add(S(1), a21, a22);
-    set_add(S(2), S(1), a11);
-    set_add(S(3), a11, a21);
-    set_add(S(4), a12, S(2));
-    set_add(T(1), b12, b11);
-    set_add(T(2), b22, T(1));
-    set_add(T(3), b22, b12);
-    set_add(T(4), b21, T(2));
-    recurse(P(1), a11, b11);
-    recurse(P(2), a12, b21);
-    recurse(P(3), S(1), T(1));
-    recurse(P(4), S(2), T(2));
-    recurse(P(5), S(3), T(3));
-    recurse(P(6), S(4), b22);
-    recurse(P(7), a22, T(4));
-    acc(c11, P(1));
-    acc(c11, P(2));
-    acc(P(4), P(1));  // U2
-    acc(P(5), P(4));  // U3
-    acc(c21, P(5));
-    acc(c21, P(7));
-    acc(c22, P(5));
-    acc(c22, P(3));
-    acc(c12, P(4));
-    acc(c12, P(3));
-    acc(c12, P(6));
+  std::vector<Owner> s, t, p;
+  s.reserve(g.s.size());
+  t.reserve(g.t.size());
+  p.reserve(g.p.size());
+  for (int i = 0; i < fast::sums(g.s); ++i) s.emplace_back(c.size / 2);
+  for (int i = 0; i < fast::sums(g.t); ++i) t.emplace_back(c.size / 2);
+  for (std::size_t i = 0; i < g.p.size(); ++i) p.emplace_back(c.size / 2);
+  auto at = [&](fast::Ref r) {
+    const SetMat* whole = r.kind == fast::Kind::A   ? &a
+                          : r.kind == fast::Kind::B ? &b
+                          : r.kind == fast::Kind::C ? &c
+                                                    : nullptr;
+    if (whole != nullptr) return whole->quad(r.i >> 1, r.i & 1);
+    return (r.kind == fast::Kind::S ? s : r.kind == fast::Kind::T ? t : p)[r.i].mat;
+  };
+  // A sum into a fresh (empty) temporary is the union of its terms.
+  auto sum = [&](const SetMat& dst, const fast::Terms& rhs) {
+    for (int j = 0; j < rhs.n; ++j) acc(dst, at(rhs.t[j].src));
+  };
+  for (int i = 0; i < fast::sums(g.s); ++i) sum(s[i].mat, g.s[i]);
+  for (int i = 0; i < fast::sums(g.t); ++i) sum(t[i].mat, g.t[i]);
+  for (std::size_t k = 0; k < g.p.size(); ++k) {
+    mul_fast(g, p[k].mat, at(g.p[k][0]), at(g.p[k][1]));
   }
-}
-
-void mul_strassen(const SetMat& c, const SetMat& a, const SetMat& b) {
-  mul_fast(c, a, b, false,
-           [](const SetMat& cc, const SetMat& aa, const SetMat& bb) {
-             mul_strassen(cc, aa, bb);
-           });
-}
-
-void mul_winograd(const SetMat& c, const SetMat& a, const SetMat& b) {
-  mul_fast(c, a, b, true,
-           [](const SetMat& cc, const SetMat& aa, const SetMat& bb) {
-             mul_winograd(cc, aa, bb);
-           });
+  for (int u = 0; u < fast::updates(g); ++u) sum(at(g.post[u].dst), g.post[u].rhs);
 }
 
 }  // namespace
@@ -209,10 +132,10 @@ FootprintResult footprint(Algorithm alg, std::uint32_t n) {
       mul_std(c.mat, a.mat, b.mat);
       break;
     case Algorithm::Strassen:
-      mul_strassen(c.mat, a.mat, b.mat);
+      mul_fast(fast::kStrassen, c.mat, a.mat, b.mat);
       break;
     case Algorithm::Winograd:
-      mul_winograd(c.mat, a.mat, b.mat);
+      mul_fast(fast::kWinograd, c.mat, a.mat, b.mat);
       break;
   }
   FootprintResult result;

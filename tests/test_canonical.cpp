@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/canonical.hpp"
 #include "test_common.hpp"
 
@@ -134,6 +136,36 @@ TEST(Canonical, FastParallelMatchesSerial) {
   Matrix serial = run(0);
   Matrix parallel = run(4);
   EXPECT_EQ(max_abs_diff(serial.view(), parallel.view()), 0.0);
+}
+
+TEST(Canonical, FastAlgorithmsMatchTheTiledRecursionBitwise) {
+  // One program runs on both layouts: with the tiled parallel form at every
+  // node (spawn_flops 0) and canonical leaves of 16, the same additions meet
+  // the same leaf products in the same order, so C is bit-identical.
+  const std::uint32_t n = 128;
+  const Matrix a = random_matrix(n, n, 11), b = random_matrix(n, n, 12);
+  WorkerPool pool(0);
+  for (Algorithm alg : {Algorithm::Strassen, Algorithm::Winograd}) {
+    for (FastVariant variant : {FastVariant::Parallel, FastVariant::SerialLowMem}) {
+      CanonContext cc;
+      cc.pool = &pool;
+      cc.leaf = 16;
+      cc.fast_variant = variant;
+      Matrix canon(n, n);
+      canon.zero();
+      (alg == Algorithm::Strassen ? canon_strassen : canon_winograd)(
+          cc, canon.view(), a.view(), b.view(), obs::treeprof::kRootPath);
+      MulContext ctx;
+      ctx.fast_variant = variant;
+      ctx.spawn_flops = 0;
+      for (Curve curve : {Curve::ZMorton, Curve::GrayMorton, Curve::Hilbert}) {
+        const Matrix tiled = rla::testing::tiled_multiply(a, b, 3, curve, alg, ctx);
+        EXPECT_EQ(std::memcmp(tiled.data(), canon.data(), n * n * sizeof(double)), 0)
+            << algorithm_name(alg) << " " << curve_name(curve) << " variant "
+            << static_cast<int>(variant);
+      }
+    }
+  }
 }
 
 TEST(Canonical, SubviewsUntouchedOutsideTarget) {

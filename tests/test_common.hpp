@@ -59,4 +59,36 @@ inline std::string sanitize(std::string_view text) {
   return out;
 }
 
+/// Folded FLOPs of a tree-profiling session armed around `run` (no depth
+/// cap): leaf products plus one FLOP per element of every add pass.
+template <typename F>
+std::uint64_t treeprof_flops(F&& run) {
+  obs::treeprof::Session session(obs::treeprof::kMaxPathDepth);
+  EXPECT_TRUE(session.try_attach());
+  run();
+  session.detach();
+  std::uint64_t total = 0;
+  for (const obs::treeprof::Node& node : session.fold()) total += node.stats.flops;
+  return total;
+}
+
+/// C = A·B for n×n operands on a tiled layout of 2^depth tiles per side,
+/// through mul_dispatch on a serial pool.
+inline Matrix tiled_multiply(const Matrix& a, const Matrix& b, int depth, Curve curve,
+                             Algorithm alg, const MulContext& base = {}) {
+  const std::uint32_t n = a.rows();
+  const TileGeometry g = make_geometry(n, n, depth, curve);
+  TiledMatrix ta(g), tb(g), tc(g);
+  canonical_to_tiled(a.data(), a.ld(), false, 1.0, g, ta.data());
+  canonical_to_tiled(b.data(), b.ld(), false, 1.0, g, tb.data());
+  tc.zero();
+  WorkerPool pool(0);
+  MulContext ctx = base;
+  ctx.pool = &pool;
+  mul_dispatch(ctx, alg, tc.root(), ta.root(), tb.root());
+  Matrix c(n, n);
+  tiled_to_canonical(tc.data(), g, c.data(), c.ld());
+  return c;
+}
+
 }  // namespace rla::testing

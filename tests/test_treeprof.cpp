@@ -20,6 +20,8 @@ namespace rla {
 namespace {
 
 using rla::testing::random_matrix;
+using rla::testing::tiled_multiply;
+using rla::testing::treeprof_flops;
 namespace treeprof = obs::treeprof;
 
 /// One C = A·B against the naive reference; returns max deviation and fills
@@ -265,6 +267,52 @@ TEST(TreeprofGemm, MidTreeTaskFaultReleasesTheSessionSlot) {
   EXPECT_TRUE(profile.tree_measured);
   EXPECT_FALSE(profile.tree_profile.empty());
   EXPECT_FALSE(trail_contains(profile, "treeprof:busy"));
+}
+
+// ---------------------------------------------------------------------------
+// Fast algorithms: every elementwise pass is credited.
+
+TEST(TreeprofFastFlops, EveryAddPassIsCreditedOnBothLayouts) {
+  // 64³ on 16-wide leaves: a root node (32² quadrants) over seven nodes (16²
+  // quadrants) over 49 leaf products. The executor runs 22 passes per node
+  // for Strassen in either form, 19 for Winograd's parallel form and 28 for
+  // its low-memory form (U-chains expanded).
+  struct Case {
+    Algorithm alg;
+    FastVariant variant;
+    std::uint64_t passes;
+  };
+  const Case cases[] = {{Algorithm::Strassen, FastVariant::Parallel, 22},
+                        {Algorithm::Strassen, FastVariant::SerialLowMem, 22},
+                        {Algorithm::Winograd, FastVariant::Parallel, 19},
+                        {Algorithm::Winograd, FastVariant::SerialLowMem, 28}};
+  const Matrix a = random_matrix(64, 64, 1), b = random_matrix(64, 64, 2);
+  WorkerPool pool(0);
+  for (const Case& k : cases) {
+    const std::uint64_t expected =
+        49 * 2 * 16 * 16 * 16 + k.passes * (32 * 32 + 7 * 16 * 16);
+    // Z-Morton at depth 2; spawn_flops 0 keeps the parallel form at every node.
+    MulContext ctx;
+    ctx.fast_variant = k.variant;
+    ctx.spawn_flops = 0;
+    EXPECT_EQ(
+        treeprof_flops([&] { tiled_multiply(a, b, 2, Curve::ZMorton, k.alg, ctx); }),
+        expected)
+        << algorithm_name(k.alg) << " tiled, variant " << static_cast<int>(k.variant);
+    // Column-major views at leaf 16.
+    CanonContext cc;
+    cc.pool = &pool;
+    cc.leaf = 16;
+    cc.fast_variant = k.variant;
+    Matrix c(64, 64);
+    c.zero();
+    const auto canon = k.alg == Algorithm::Strassen ? canon_strassen : canon_winograd;
+    EXPECT_EQ(treeprof_flops([&] {
+                canon(cc, c.view(), a.view(), b.view(), treeprof::kRootPath);
+              }),
+              expected)
+        << algorithm_name(k.alg) << " canonical, variant " << static_cast<int>(k.variant);
+  }
 }
 
 // ---------------------------------------------------------------------------

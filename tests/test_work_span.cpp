@@ -136,5 +136,38 @@ TEST(WorkSpan, RectangularTiles) {
   EXPECT_GT(ws.parallelism(), 1.0);
 }
 
+TEST(WorkSpan, FastModelWorkIsTheMeasuredFlops) {
+  // The executor credits one FLOP per element of every add pass and 2·t³
+  // per leaf; the model adds one store per element for each product's
+  // zeroing (7 quadrants per fast node). Tiled Z-Morton on 16-wide tiles,
+  // spawn_flops 0 so the parallel form runs at every node as modelled.
+  for (int depth : {1, 2}) {
+    const std::uint32_t n = 16u << depth;
+    const Matrix a = rla::testing::random_matrix(n, n, 3);
+    const Matrix b = rla::testing::random_matrix(n, n, 4);
+    double zeros = 0.0;
+    for (int l = depth; l >= 1; --l) {
+      const double quadrant = 16.0 * 16.0 * std::pow(4.0, l - 1);
+      zeros += std::pow(7.0, depth - l) * 7.0 * quadrant;
+    }
+    for (Algorithm alg : {Algorithm::Strassen, Algorithm::Winograd}) {
+      for (FastVariant variant : {FastVariant::Parallel, FastVariant::SerialLowMem}) {
+        WorkSpanParams p;
+        p.algorithm = alg;
+        p.fast_variant = variant;
+        p.depth = depth;
+        MulContext ctx;
+        ctx.fast_variant = variant;
+        ctx.spawn_flops = 0;
+        const std::uint64_t measured = rla::testing::treeprof_flops(
+            [&] { rla::testing::tiled_multiply(a, b, depth, Curve::ZMorton, alg, ctx); });
+        EXPECT_EQ(analyze_work_span(p).work - zeros, static_cast<double>(measured))
+            << algorithm_name(alg) << " depth " << depth << " variant "
+            << static_cast<int>(variant);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rla
