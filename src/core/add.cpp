@@ -1,10 +1,8 @@
 #include "core/add.hpp"
 
 #include <cassert>
-#include <cstring>
 
 #include "analysis/annotations.hpp"
-#include "analysis/numerics/shadow.hpp"
 #include "core/kernels.hpp"
 #include "layout/mapping.hpp"
 
@@ -158,41 +156,6 @@ void block_acc4(const TiledBlock& dst, double s1, const TiledBlock& p1, double s
     vacc4(d + s * tsz, s1, p1.begin() + m1(s) * tsz, s2, p2.begin() + m2(s) * tsz,
           s3, p3.begin() + m3(s) * tsz, s4, p4.begin() + m4(s) * tsz, tsz);
   }
-}
-
-// rla-hotpath
-void block_copy(const TiledBlock& dst, const TiledBlock& src, bool force_generic) {
-  const TileMap m = make_tile_map(dst, src, force_generic);
-  const std::uint64_t tsz = dst.geom->tile_elems();
-  RLA_RACE_WRITE(dst.begin(), dst.elems() * sizeof(double));
-  RLA_RACE_READ(src.begin(), src.elems() * sizeof(double));
-  if (m.identity()) {
-    RLA_SHADOW_MOVE(dst.begin(), src.begin(), dst.elems());
-    std::memcpy(dst.begin(), src.begin(), dst.elems() * sizeof(double));
-    return;
-  }
-  if (m.map == nullptr) {
-    const std::uint64_t half = dst.elems() / 2;
-    const std::uint64_t half_bytes = half * sizeof(double);
-    RLA_SHADOW_MOVE(dst.begin(), src.begin() + half, half);
-    RLA_SHADOW_MOVE(dst.begin() + half, src.begin(), half);
-    std::memcpy(dst.begin(), src.begin() + half, half_bytes);
-    std::memcpy(dst.begin() + half, src.begin(), half_bytes);
-    return;
-  }
-  double* d = dst.begin();
-  const double* p = src.begin();
-  for (std::uint64_t s = 0; s < dst.tile_count(); ++s) {
-    RLA_SHADOW_MOVE(d + s * tsz, p + m(s) * tsz, tsz);
-    std::memcpy(d + s * tsz, p + m(s) * tsz, tsz * sizeof(double));
-  }
-}
-
-// rla-hotpath
-void block_zero(const TiledBlock& dst) noexcept {
-  RLA_RACE_WRITE(dst.begin(), dst.elems() * sizeof(double));
-  RLA_SHADOW_CLEAR(dst.begin(), dst.elems() * sizeof(double));
-  std::memset(dst.begin(), 0, dst.elems() * sizeof(double));
 }
 
 }  // namespace rla

@@ -62,11 +62,4 @@ void block_acc4(const TiledBlock& dst, double s1, const TiledBlock& p1, double s
                 const TiledBlock& p2, double s3, const TiledBlock& p3, double s4,
                 const TiledBlock& p4, bool force_generic = false);
 
-/// dst = src (orientation-aware copy).
-void block_copy(const TiledBlock& dst, const TiledBlock& src,
-                bool force_generic = false);
-
-/// Zero the block's storage.
-void block_zero(const TiledBlock& dst) noexcept;
-
 }  // namespace rla

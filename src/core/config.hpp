@@ -196,9 +196,9 @@ struct GemmConfig {
   /// driver phases, plus the scheduler-metrics snapshot and the measured
   /// work/span summary under extra top-level keys. Empty = no trace file;
   /// the RLA_TRACE environment variable supplies a path when this is empty.
-  /// Tracing implies `measure`. If another collector is already armed (one
-  /// traced gemm at a time per process) the call runs untraced and records
-  /// "trace:busy" in the degradation trail.
+  /// Tracing implies `measure`. If another obs::Session is already armed
+  /// (one instrumented gemm at a time per process) the call runs untraced
+  /// and records "trace:busy" in the degradation trail.
   std::string trace_path;
 
   /// Request-scoped trace id (0 = none). Minted by GemmService::submit (or a
@@ -223,7 +223,8 @@ struct GemmConfig {
   /// variable (truthy) arms this when the flag is false. When the kernel
   /// refuses (perf_event_paranoid, seccomp ENOSYS, PMU-less VMs) the call
   /// completes normally and records "perf:unavailable:<reason>" in the
-  /// degradation trail; a concurrent counting call records "perf:busy".
+  /// degradation trail; if another obs::Session is armed the call runs
+  /// uncounted and records "perf:busy".
   bool hw_counters = false;
 
   /// Recursion-resolved profiling (obs/treeprof/): attribute exclusive wall
@@ -234,8 +235,8 @@ struct GemmConfig {
   /// --flame folded-stack output, and emits nested "node" spans into the
   /// trace when one is being written. Implies `measure`. The RLA_TREEPROF
   /// environment variable (truthy) arms this when the flag is false. If
-  /// another tree-profiling session is armed the call runs unprofiled and
-  /// records "treeprof:busy" in the degradation trail.
+  /// another obs::Session is armed the call runs unprofiled and records
+  /// "treeprof:busy" in the degradation trail.
   bool tree_profile = false;
 
   /// Watch the IEEE sticky exception flags (INVALID / OVERFLOW / DIVBYZERO)

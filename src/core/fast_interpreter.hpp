@@ -28,7 +28,7 @@
 #include <utility>
 
 #include "core/fast_program.hpp"
-#include "obs/collector.hpp"
+#include "obs/session.hpp"
 #include "obs/treeprof/treeprof.hpp"
 
 namespace rla::fast {

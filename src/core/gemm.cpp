@@ -18,9 +18,7 @@
 #include "core/zero_tree.hpp"
 #include "layout/bits.hpp"
 #include "layout/convert.hpp"
-#include "obs/collector.hpp"
-#include "obs/perf.hpp"
-#include "obs/treeprof/treeprof.hpp"
+#include "obs/session.hpp"
 #include "parallel/worker_pool.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
@@ -695,55 +693,35 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
     }
   }
 
-  // Hardware performance counters (perf_event_open). One armed session per
-  // process, like the collector below; a kernel refusal (paranoid level,
-  // seccomp, PMU-less VM) degrades the call to uncounted instead of failing
-  // it, with the reason on record.
-  const bool want_hw = cfg.hw_counters || env_int("RLA_PERF", 0) != 0;
-  std::optional<obs::perf::Session> perf_session;
-  if (want_hw) {
-    perf_session.emplace();
-    if (!perf_session->try_attach()) {
-      sink.degrade("perf:busy");
-      perf_session.reset();
-    } else if (!perf_session->available()) {
-      sink.degrade("perf:unavailable:" + perf_session->reason());
-      perf_session->detach();
-      perf_session.reset();
-    }
-  }
-
-  // Tracer / work-span measurement. One armed collector per process: a
-  // nested or concurrent traced gemm runs untraced with "trace:busy" on
-  // record rather than corrupting the outer trace. Live HW counting implies
-  // measurement: the counters ride on the same phase spans.
+  // Instrumentation (obs/session.hpp): one session per call, armed for the
+  // probes it asks for; spans ride along with any probe (counters and tree
+  // nodes land on phase and node spans). One session is armed per process:
+  // a nested or concurrent instrumented gemm runs uninstrumented with each
+  // requested probe's busy string on record rather than corrupting the outer
+  // session, and a kernel refusal of the counters (paranoid level, seccomp,
+  // PMU-less VM) degrades the call to uncounted with the reason on record.
   const std::string trace_path =
       cfg.trace_path.empty() ? env_string("RLA_TRACE") : cfg.trace_path;
+  const bool want_spans = cfg.measure || !trace_path.empty();
+  const bool want_hw = cfg.hw_counters || env_int("RLA_PERF", 0) != 0;
   const bool want_tree = cfg.tree_profile || env_int("RLA_TREEPROF", 0) != 0;
-  std::optional<obs::Collector> collector;
-  if (cfg.measure || !trace_path.empty() || perf_session || want_tree) {
-    collector.emplace();
-    if (!collector->try_attach()) {
-      sink.degrade("trace:busy");
-      collector.reset();
+  std::optional<obs::Session> session;
+  if (want_spans || want_hw || want_tree) {
+    session.emplace(obs::kSpans | (want_hw ? obs::kPmu : 0u) |
+                    (want_tree ? obs::kTree : 0u));
+    if (!session->try_attach()) {
+      if (want_hw) sink.degrade("perf:busy");
+      if (want_spans) sink.degrade("trace:busy");
+      if (want_tree) sink.degrade("treeprof:busy");
+      session.reset();
+    } else if (want_hw && !session->pmu_available()) {
+      sink.degrade("perf:unavailable:" + session->pmu_reason());
     }
   }
-
-  // Recursion-resolved profiling (obs/treeprof/). One armed session per
-  // process, like the other slots; a collision runs unprofiled. Armed after
-  // the perf session so frame transitions can read this call's counters.
-  std::optional<obs::treeprof::Session> tree_session;
-  if (want_tree) {
-    tree_session.emplace();
-    if (!tree_session->try_attach()) {
-      sink.degrade("treeprof:busy");
-      tree_session.reset();
-    }
-  }
-  // Root frame spanning every run_all below (degradation, FP and verify
-  // reruns included): sequential reruns extend the measured critical path.
+  // Root frame spanning every run below (degradation, FP and verify reruns
+  // included): sequential reruns extend the measured critical path.
   std::optional<obs::ScopedRoot> obs_root;
-  if (collector) obs_root.emplace("gemm");
+  if (session) obs_root.emplace("gemm");
 
   // Scheduler counters are pool-lifetime; delta against entry so an
   // external long-lived pool reports only this call's activity.
@@ -808,15 +786,6 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
     }
   };
 
-  const auto run_all = [&](const GemmConfig& run_cfg) {
-    if (run_cfg.layout == Curve::ColMajor) {
-      run_canonical_degrading(m, n, k, alpha, oa, ob, beta, c, ldc, run_cfg,
-                              *pool, sink);
-    } else {
-      run_or_split(m, n, k, alpha, oa, ob, beta, c, ldc, run_cfg, *pool, sink);
-    }
-  };
-
   const auto finish = [&] {
     if (profile != nullptr) {
       profile->sched.workers = pool->thread_count();
@@ -827,99 +796,13 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
       profile->sched.injection_pops = pool->injection_pops() - base_inject;
       profile->sched.deque_high_water = pool->deque_high_water();
     }
-    if (tree_session) {
-      // Disarm (quiescence barrier) and fold the per-thread tables before
-      // the perf session detaches — frame flushes read its counters — and
-      // before the collector freezes its metrics snapshot.
-      tree_session->detach();
-      const std::vector<obs::treeprof::Node> tree_nodes = tree_session->fold();
-      if (profile != nullptr) {
-        profile->tree_measured = true;
-        profile->tree_profile.clear();
-        for (const auto& node : tree_nodes) {
-          GemmProfile::TreeNode tn;
-          tn.key = obs::treeprof::path_key(node.path);
-          tn.time_ns = node.stats.time_ns;
-          tn.flops = node.stats.flops;
-          tn.tasks = node.stats.tasks;
-          tn.hw_valid = node.stats.hw.mask != 0;
-          tn.hw = to_hw_counters(node.stats.hw);
-          profile->tree_profile.push_back(std::move(tn));
-        }
-      }
-      if (collector) {
-        // Per-depth aggregates into the trace's rla_metrics block (the
-        // folded list is sorted by depth, so one linear sweep per level).
-        obs::Registry& reg = collector->registry();
-        reg.counter("treeprof.nodes").set(tree_nodes.size());
-        std::size_t i = 0;
-        while (i < tree_nodes.size()) {
-          const int d = obs::treeprof::path_depth(tree_nodes[i].path);
-          std::uint64_t t_ns = 0, flops = 0, tasks = 0;
-          std::size_t j = i;
-          for (; j < tree_nodes.size() &&
-                 obs::treeprof::path_depth(tree_nodes[j].path) == d;
-               ++j) {
-            t_ns += tree_nodes[j].stats.time_ns;
-            flops += tree_nodes[j].stats.flops;
-            tasks += tree_nodes[j].stats.tasks;
-          }
-          const std::string prefix = "treeprof.d" + std::to_string(d) + ".";
-          // metric-family: treeprof.*
-          reg.counter(prefix + "time_ns").set(t_ns);
-          reg.counter(prefix + "flops").set(flops);
-          reg.counter(prefix + "tasks").set(tasks);
-          i = j;
-        }
-      }
-      tree_session.reset();
-    }
-    if (perf_session) {
-      // Freeze the counters before the collector snapshot so the aggregate
-      // and per-thread values land in the trace's rla_metrics block.
-      const obs::perf::Sample hw_total = perf_session->read_total();
-      const auto hw_threads = perf_session->per_thread();
-      const auto hw_phases = perf_session->phase_totals();
-      perf_session->detach();
-      if (collector) {
-        obs::Registry& reg = collector->registry();
-        for (int i = 0; i < obs::perf::kEventCount; ++i) {
-          if (!hw_total.has(i)) continue;
-          reg.counter(std::string("perf.total.") +  // metric-family: perf.total.*
-                      obs::perf::event_name(i))
-              .set(hw_total.value[i]);
-        }
-        for (const auto& tc : hw_threads) {
-          for (int i = 0; i < obs::perf::kEventCount; ++i) {
-            if (!tc.sample.has(i)) continue;
-            reg.counter("perf." + tc.label + "." +  // metric-family: perf.*
-                        obs::perf::event_name(i))
-                .set(tc.sample.value[i]);
-          }
-        }
-      }
-      if (profile != nullptr && hw_total.mask != 0) {
-        profile->hw_measured = true;
-        profile->hw_scale = hw_total.scale;
-        profile->hw_events.clear();
-        for (int i = 0; i < obs::perf::kEventCount; ++i) {
-          if (hw_total.has(i)) {
-            profile->hw_events.emplace_back(obs::perf::event_name(i));
-          }
-        }
-        profile->hw_total = to_hw_counters(hw_total);
-        profile->hw_phases.clear();
-        for (const auto& [phase, sample] : hw_phases) {
-          profile->hw_phases.emplace_back(phase, to_hw_counters(sample));
-        }
-      }
-      perf_session.reset();
-    }
-    if (collector) {
-      obs_root.reset();  // close the root span before freezing results
+    if (session) {
+      obs_root.reset();  // close the root span before folding
+      session->detach();
+      const obs::Session::Fold fold = session->fold();
       // Publish this call's scheduler counters into the trace's metrics
       // snapshot (per steal slot; the trailing slot is external threads).
-      obs::Registry& reg = collector->registry();
+      obs::Registry& reg = session->registry();
       const auto slots = pool->sched_snapshot();
       for (std::size_t i = 0; i < slots.size(); ++i) {
         const std::string prefix =
@@ -948,18 +831,17 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
         reg.gauge("telemetry.trace_id")
             .set(static_cast<std::int64_t>(trace_id));
       }
-      collector->detach();
       if (profile != nullptr) {
         profile->measured = true;
-        profile->measured_work = static_cast<double>(collector->work_ns()) / 1e9;
-        profile->measured_span = static_cast<double>(collector->span_ns()) / 1e9;
-        profile->achieved_parallelism = collector->achieved_parallelism();
+        profile->measured_work = static_cast<double>(fold.work_ns) / 1e9;
+        profile->measured_span = static_cast<double>(fold.span_ns) / 1e9;
+        profile->achieved_parallelism = fold.parallelism;
         profile->parallel_slackness =
             profile->achieved_parallelism /
             static_cast<double>(std::max(1u, pool->thread_count()));
-        profile->tasks_traced = collector->tasks();
-        profile->trace_events_dropped = collector->events_dropped();
-        const obs::Histogram& hist = collector->task_durations();
+        profile->tasks_traced = fold.tasks;
+        profile->trace_events_dropped = fold.events_dropped;
+        const obs::Histogram& hist = session->task_durations();
         int top = obs::Histogram::kBuckets;
         while (top > 0 && hist.bucket(top - 1) == 0) --top;
         profile->task_ns_hist.clear();
@@ -977,15 +859,44 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
           // Shape requires splitting; the per-piece model does not compose
           // into one number, so the model fields stay zero.
         }
+        if (fold.hw_total.mask != 0) {
+          profile->hw_measured = true;
+          profile->hw_scale = fold.hw_total.scale;
+          profile->hw_events.clear();
+          for (int i = 0; i < obs::perf::kEventCount; ++i) {
+            if (fold.hw_total.has(i)) {
+              profile->hw_events.emplace_back(obs::perf::event_name(i));
+            }
+          }
+          profile->hw_total = to_hw_counters(fold.hw_total);
+          profile->hw_phases.clear();
+          for (const auto& [phase, sample] : fold.hw_phases) {
+            profile->hw_phases.emplace_back(phase, to_hw_counters(sample));
+          }
+        }
+        if (session->has(obs::kTree)) {
+          profile->tree_measured = true;
+          profile->tree_profile.clear();
+          for (const auto& node : fold.tree) {
+            GemmProfile::TreeNode tn;
+            tn.key = obs::treeprof::path_key(node.path);
+            tn.time_ns = node.stats.time_ns;
+            tn.flops = node.stats.flops;
+            tn.tasks = node.stats.tasks;
+            tn.hw_valid = node.stats.hw.mask != 0;
+            tn.hw = to_hw_counters(node.stats.hw);
+            profile->tree_profile.push_back(std::move(tn));
+          }
+        }
       }
       if (!trace_path.empty()) {
-        if (collector->write_chrome_trace_file(trace_path)) {
+        if (session->write_chrome_trace_file(fold, trace_path)) {
           if (profile != nullptr) profile->trace_file = trace_path;
         } else {
           sink.degrade("trace:write-failed");
         }
       }
-      collector.reset();
+      session.reset();
     }
     detect_scope.reset();  // detach before reading results
     if (detector && profile != nullptr) {
@@ -1012,20 +923,29 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
     if (profile != nullptr) profile->total = total.seconds();
   };
 
-  try {
-    run_all(cfg);
-  } catch (const std::bad_alloc&) {
-    finish();
-    throw Error(ErrorKind::Allocation, "gemm",
-                "allocation failed even after exhausting the degradation ladder",
-                {m, n, k}, sink.trail);
-  } catch (...) {
-    // Task failures (including injected ones) propagate to the caller, but
-    // the trace of the dying run is exactly what a post-mortem needs: drain
-    // the collector and write the export before unwinding further.
-    finish();
-    throw;
-  }
+  // One run of the multiply. A failure first drains the instrumentation and
+  // the analyses — the trace of a dying run is exactly what a post-mortem
+  // needs — then propagates; an allocation failure the degradation ladder
+  // could not absorb becomes rla::Error{Allocation} saying `alloc_failure`.
+  const auto run_all = [&](const GemmConfig& run_cfg, const char* alloc_failure) {
+    try {
+      if (run_cfg.layout == Curve::ColMajor) {
+        run_canonical_degrading(m, n, k, alpha, oa, ob, beta, c, ldc, run_cfg,
+                                *pool, sink);
+      } else {
+        run_or_split(m, n, k, alpha, oa, ob, beta, c, ldc, run_cfg, *pool, sink);
+      }
+    } catch (const std::bad_alloc&) {
+      finish();
+      throw Error(ErrorKind::Allocation, "gemm", alloc_failure, {m, n, k},
+                  sink.trail);
+    } catch (...) {
+      finish();
+      throw;
+    }
+  };
+
+  run_all(cfg, "allocation failed even after exhausting the degradation ladder");
 
   if (cfg.fp_check) {
     // Sweep up anything raised outside an attributed phase (e.g. on the
@@ -1044,17 +964,7 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
       if (have_backup) restore_c();
       GemmConfig retry = cfg;
       retry.algorithm = Algorithm::Standard;
-      try {
-        run_all(retry);
-      } catch (const std::bad_alloc&) {
-        finish();
-        throw Error(ErrorKind::Allocation, "gemm",
-                    "allocation failed during the FP-hazard rerun", {m, n, k},
-                    sink.trail);
-      } catch (...) {
-        finish();
-        throw;
-      }
+      run_all(retry, "allocation failed during the FP-hazard rerun");
       if (profile != nullptr) profile->fp_degraded = true;
       const unsigned rerun_mask = numerics::fp_drain();
       if (rerun_mask != 0) sink.note_fp("rerun", rerun_mask);
@@ -1088,17 +998,7 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
       if (have_backup) restore_c();
       GemmConfig retry = cfg;
       retry.algorithm = Algorithm::Standard;
-      try {
-        run_all(retry);
-      } catch (const std::bad_alloc&) {
-        finish();
-        throw Error(ErrorKind::Allocation, "gemm",
-                    "allocation failed during the verification rerun", {m, n, k},
-                    sink.trail);
-      } catch (...) {
-        finish();
-        throw;
-      }
+      run_all(retry, "allocation failed during the verification rerun");
       if (profile != nullptr) profile->verify_rerun = true;
       VerifyResult recheck = [&] {
         obs::PhaseScope phase("verify");

@@ -98,12 +98,12 @@ struct GemmProfile {
   // Measured work/span along the executed DAG (GemmConfig::measure, or any
   // trace request). Burdened accounting: each task's spawn-to-start queue
   // latency is charged to the critical path, Cilkview-style.
-  bool measured = false;             ///< collector armed for this call
+  bool measured = false;             ///< spans recorded for this call
   double measured_work = 0.0;        ///< seconds of exclusive task time (T_1)
   double measured_span = 0.0;        ///< burdened critical path (T_inf)
   double achieved_parallelism = 0.0; ///< measured_work / measured_span
   double parallel_slackness = 0.0;   ///< achieved_parallelism / workers
-  std::uint64_t tasks_traced = 0;    ///< task frames the collector closed
+  std::uint64_t tasks_traced = 0;    ///< task frames the session closed
   std::uint64_t trace_events_dropped = 0;  ///< ring-buffer overflow losses
   std::string trace_file;            ///< Chrome trace written (empty = none)
   /// Log2-bucketed task-duration histogram in ns: bucket i counts tasks in

@@ -7,7 +7,7 @@
 #include "core/fast_interpreter.hpp"
 #include "core/kernels.hpp"
 #include "core/zero_tree.hpp"
-#include "obs/collector.hpp"
+#include "obs/session.hpp"
 #include "robust/fault.hpp"
 
 namespace rla {

@@ -4,14 +4,15 @@
 //
 // These are the observability analogue of the race detector's fork-join
 // structure hooks (analysis/annotations.hpp): always compiled into
-// WorkerPool/TaskGroup, but costing a single relaxed load and a predictable
-// branch per spawn/run/wait when no Collector is attached. The heavy lifting
-// (ring-buffer event emission, work/span folding) lives out-of-line in
-// collector.cpp and only runs while a collector is armed.
+// WorkerPool/TaskGroup, but costing a single relaxed load of the session slot
+// and a predictable branch per spawn/run/wait when no obs::Session is armed.
+// The heavy lifting (lane registration, ring-buffer event emission, work/span
+// folding, counter-group joins, tree-frame pauses) lives out-of-line in
+// session.cpp and only runs while a session is armed.
 //
-// Scope objects capture the armed state at construction so a collector
+// Scope objects capture the armed state at construction so a session
 // attaching or detaching mid-task cannot unbalance the thread-local frame
-// stack: a scope that pushed a frame always pops it, and a scope that pushed
+// stacks: a scope that pushed a frame always pops it, and a scope that pushed
 // nothing never pops.
 
 #include <atomic>
@@ -19,11 +20,11 @@
 
 namespace rla::obs {
 
-class Collector;
+class Session;
 
 /// Per-task trace identity, carried inside WorkerPool::TaskNode from spawn
 /// to execution. All-zero (id == 0) means the task was spawned while no
-/// collector was armed.
+/// session was recording spans.
 struct TaskTag {
   std::uint64_t id = 0;       ///< process-unique task id (0 = untraced)
   std::uint64_t parent = 0;   ///< id of the spawning task (0 = none/root)
@@ -51,51 +52,34 @@ struct GroupObs {
 
 namespace detail {
 
-/// The armed collector (null = tracing off). Set by Collector::try_attach /
-/// detach; hooks use a pin protocol (see collector.cpp) before touching it.
-extern std::atomic<Collector*> g_collector;
+/// The armed session (null = nothing armed): the one slot every probe's
+/// hooks test. Set by Session::try_attach / detach; hooks pin it (see
+/// session.cpp) before touching the session.
+extern std::atomic<Session*> g_session;
 
-// Out-of-line slow paths (collector.cpp). Call only from the scope objects
-// below, which guarantee balanced begin/end.
+// Out-of-line slow paths (session.cpp). Call only from the scope objects
+// below, which guarantee balanced begin/end. inline_begin and run_begin
+// return whether they pushed a span frame (false when the armed session
+// records no spans); task_end pops one.
 void spawn_hook(TaskTag& tag, std::uint64_t seq);
-void inline_begin(std::uint64_t seq);
-void run_begin(const TaskTag& tag, std::uint64_t seq);
+bool inline_begin(std::uint64_t seq);
+bool run_begin(const TaskTag& tag, std::uint64_t seq);
 void task_end(GroupObs* fold_into);
 void wait_begin();
 void wait_end(GroupObs* fold_from);
 void set_worker_hint(int worker_index);
 
-/// This thread's pool worker index (-1 = not a pool worker); labels both
-/// trace lanes and perf counter groups.
-int worker_hint() noexcept;
-
 }  // namespace detail
 
-/// True while a Collector is armed (one relaxed load).
+/// True while a Session is armed (one relaxed load).
 inline bool armed() noexcept {
-  return detail::g_collector.load(std::memory_order_relaxed) != nullptr;
+  return detail::g_session.load(std::memory_order_relaxed) != nullptr;
 }
-
-namespace treeprof {
-namespace detail {
-/// Armed flag for the recursion-tree profiler (obs/treeprof/). Mirrors the
-/// session slot in treeprof.cpp; lives here so scheduler waits can check it
-/// with one inline relaxed load without pulling in the treeprof header.
-extern std::atomic<bool> g_armed;
-void wait_begin() noexcept;
-void wait_end() noexcept;
-}  // namespace detail
-
-/// True while a treeprof::Session is armed (one relaxed load).
-inline bool armed() noexcept {
-  return detail::g_armed.load(std::memory_order_relaxed);
-}
-}  // namespace treeprof
 
 /// The request trace id ambient on this thread (0 = none). Unlike the
-/// collector hooks this is maintained unconditionally — profiles and the
-/// flight recorder need request identity even with no collector armed.
-/// Defined in collector.cpp next to the other per-thread trace state.
+/// session hooks this is maintained unconditionally — profiles and the
+/// flight recorder need request identity even with no session armed.
+/// Defined in session.cpp next to the other per-thread trace state.
 std::uint64_t current_trace_id() noexcept;
 void set_current_trace_id(std::uint64_t trace) noexcept;
 
@@ -122,8 +106,9 @@ inline void on_spawn(TaskTag& tag, std::uint64_t seq) {
   if (armed()) detail::spawn_hook(tag, seq);
 }
 
-/// Announce a worker thread's pool index so its trace lane gets a stable
-/// name ("worker N"); call once at thread start.
+/// Announce a worker thread's pool index so its lane gets a stable name
+/// ("worker N" in traces, "wN" in counter metrics); call once at thread
+/// start.
 inline void on_worker_start(int worker_index) {
   detail::set_worker_hint(worker_index);
 }
@@ -133,9 +118,7 @@ inline void on_worker_start(int worker_index) {
 class InlineTaskScope {
  public:
   InlineTaskScope(GroupObs* group, std::uint64_t seq)
-      : group_(group), on_(armed()) {
-    if (on_) detail::inline_begin(seq);
-  }
+      : group_(group), on_(armed() && detail::inline_begin(seq)) {}
   ~InlineTaskScope() {
     if (on_) detail::task_end(group_);
   }
@@ -147,13 +130,13 @@ class InlineTaskScope {
   bool on_;
 };
 
-/// A queued task executing on a worker (or helping) thread.
+/// A queued task executing on a worker (or helping) thread. The first task
+/// a thread runs under an armed session registers its lane, which opens the
+/// thread's counter group when the session counts.
 class RunTaskScope {
  public:
   RunTaskScope(const TaskTag& tag, std::uint64_t seq, GroupObs* group)
-      : group_(group), on_(armed()) {
-    if (on_) detail::run_begin(tag, seq);
-  }
+      : group_(group), on_(armed() && detail::run_begin(tag, seq)) {}
   ~RunTaskScope() {
     if (on_) detail::task_end(group_);
   }
@@ -165,19 +148,17 @@ class RunTaskScope {
   bool on_;
 };
 
-/// TaskGroup::wait(): suspends the waiting task's span clock for the
-/// duration (helping runs other tasks' frames) and folds the group's child
-/// spans into the waiter at the join point — including when wait() rethrows
-/// a task exception (the fold happens during unwinding).
+/// TaskGroup::wait(): suspends the waiting task's span clock and its
+/// recursion-tree frame for the duration (helping runs other tasks' frames)
+/// and folds the group's child spans into the waiter at the join point —
+/// including when wait() rethrows a task exception (the fold happens during
+/// unwinding).
 class WaitScope {
  public:
-  explicit WaitScope(GroupObs* group)
-      : group_(group), on_(armed()), tree_on_(treeprof::armed()) {
+  explicit WaitScope(GroupObs* group) : group_(group), on_(armed()) {
     if (on_) detail::wait_begin();
-    if (tree_on_) treeprof::detail::wait_begin();
   }
   ~WaitScope() {
-    if (tree_on_) treeprof::detail::wait_end();
     if (on_) detail::wait_end(group_);
   }
   WaitScope(const WaitScope&) = delete;
@@ -186,7 +167,6 @@ class WaitScope {
  private:
   GroupObs* group_;
   bool on_;
-  bool tree_on_;  ///< treeprof armed at construction (same capture rule)
 };
 
 }  // namespace rla::obs

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
 #include "robust/fault.hpp"
 
@@ -13,8 +12,6 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
-
-#include "obs/hooks.hpp"
 
 namespace rla::obs::perf {
 
@@ -228,229 +225,5 @@ void CounterGroup::close() noexcept {}
 #endif  // __linux__
 
 CounterGroup::~CounterGroup() { close(); }
-
-// ---- Session ----------------------------------------------------------------
-
-namespace detail {
-
-std::atomic<Session*> g_session{nullptr};
-
-namespace {
-
-/// Attach generations, invalidating each thread's "already joined" cache.
-std::atomic<std::uint64_t> g_generation{1};
-
-/// Threads currently inside a session operation; detach() clears the slot
-/// then drains this before returning (same protocol as the Collector).
-std::atomic<std::uint64_t> g_pins{0};
-
-thread_local std::uint64_t tl_joined_generation = 0;
-
-/// This thread's own group within the armed session, cached so
-/// thread_sample() avoids the session mutex. Valid only while
-/// tl_group_generation matches g_generation (groups outlive detach but not
-/// the Session object; a new attach invalidates the cache first).
-thread_local CounterGroup* tl_group = nullptr;
-thread_local std::uint64_t tl_group_generation = 0;
-
-Session* pin() noexcept {
-  g_pins.fetch_add(1, std::memory_order_seq_cst);
-  Session* s = g_session.load(std::memory_order_seq_cst);
-  if (s == nullptr) {
-    g_pins.fetch_sub(1, std::memory_order_seq_cst);
-    return nullptr;
-  }
-  return s;
-}
-
-void unpin() noexcept { g_pins.fetch_sub(1, std::memory_order_seq_cst); }
-
-}  // namespace
-
-void join_slow() {
-  const std::uint64_t gen = g_generation.load(std::memory_order_relaxed);
-  if (tl_joined_generation == gen) return;
-  if (Session* s = pin()) {
-    s->join_current_thread();
-    unpin();
-  }
-  // Marked joined even on failure: retrying a failing perf_event_open once
-  // per task would turn degradation into a hot-path syscall storm.
-  tl_joined_generation = gen;
-}
-
-}  // namespace detail
-
-Session::~Session() { detach(); }
-
-bool Session::try_attach() {
-  Session* expected = nullptr;
-  if (!detail::g_session.compare_exchange_strong(expected, this,
-                                                 std::memory_order_seq_cst)) {
-    return false;
-  }
-  detail::g_generation.fetch_add(1, std::memory_order_seq_cst);
-  attached_ = true;
-  // Probe with the attaching thread's own group (kept from an earlier
-  // attach of this session, or opened now): if even this thread cannot
-  // open one event, workers will not fare better — mark unavailable with
-  // the reason and let the caller degrade.
-  CounterGroup* own = nullptr;
-  {
-    MutexLock lock(mutex_);
-    own = own_group();
-  }
-  std::string reason;
-  if (own == nullptr) {
-    auto probe = std::make_unique<CounterGroup>();
-    if (!probe->open(&reason)) {
-      available_.store(false, std::memory_order_release);
-      reason_ = reason;
-      return true;
-    }
-    MutexLock lock(mutex_);
-    own = add_lane("main", std::move(probe));
-  }
-  detail::tl_group = own;
-  detail::tl_group_generation = detail::g_generation.load(std::memory_order_relaxed);
-  // Release: the probe group above must be visible to any worker whose
-  // join_current_thread() acquires this flag through the armed session.
-  available_.store(true, std::memory_order_release);
-  detail::tl_joined_generation = detail::g_generation.load(std::memory_order_relaxed);
-  return true;
-}
-
-void Session::detach() {
-  if (!attached_) return;
-  Session* expected = this;
-  detail::g_session.compare_exchange_strong(expected, nullptr,
-                                            std::memory_order_seq_cst);
-  while (detail::g_pins.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
-  }
-  attached_ = false;
-  // Groups stay open (and readable) until destruction so per-thread totals
-  // survive the disarm; they stopped accumulating our work because no new
-  // tasks run under this session.
-}
-
-CounterGroup* Session::own_group() const {
-  for (const Lane& lane : lanes_) {
-    if (lane.owner == std::this_thread::get_id()) return lane.group.get();
-  }
-  return nullptr;
-}
-
-CounterGroup* Session::add_lane(std::string label,
-                                std::unique_ptr<CounterGroup> group) {
-  lanes_.push_back({std::this_thread::get_id(), std::move(label), std::move(group)});
-  return lanes_.back().group.get();
-}
-
-std::vector<std::pair<std::string, const CounterGroup*>> Session::lanes() const {
-  std::vector<std::pair<std::string, const CounterGroup*>> out;
-  MutexLock lock(mutex_);
-  out.reserve(lanes_.size());
-  for (const Lane& lane : lanes_) out.emplace_back(lane.label, lane.group.get());
-  return out;
-}
-
-void Session::join_current_thread() {
-  if (!available()) return;
-  CounterGroup* own = nullptr;
-  {
-    MutexLock lock(mutex_);
-    own = own_group();
-  }
-  if (own == nullptr) {
-    auto group = std::make_unique<CounterGroup>();
-    if (!group->open(nullptr)) return;  // this thread just goes uncounted
-    const int hint = obs::detail::worker_hint();
-    MutexLock lock(mutex_);
-    own = add_lane(hint >= 0 ? "w" + std::to_string(hint)
-                             : "t" + std::to_string(lanes_.size()),
-                   std::move(group));
-  }
-  detail::tl_group = own;
-  detail::tl_group_generation =
-      detail::g_generation.load(std::memory_order_relaxed);
-}
-
-bool Session::read_current_thread(Sample& out) const {
-  if (detail::tl_group == nullptr ||
-      detail::tl_group_generation !=
-          detail::g_generation.load(std::memory_order_relaxed)) {
-    return false;
-  }
-  return detail::tl_group->read(out);
-}
-
-Sample Session::read_total() const {
-  Sample total;
-  total.mask = 0;
-  for (const auto& [label, group] : lanes()) {
-    Sample s;
-    if (group->read(s)) total.accumulate(s);
-  }
-  return total;
-}
-
-std::vector<ThreadCounters> Session::per_thread() const {
-  std::vector<ThreadCounters> out;
-  for (const auto& [label, group] : lanes()) {
-    Sample s;
-    if (group->read(s)) out.push_back({label, s});
-  }
-  return out;
-}
-
-void Session::note_phase(const char* name, const Sample& delta) {
-  MutexLock lock(mutex_);
-  for (auto& [phase, sample] : phases_) {
-    if (phase == name) {
-      sample.accumulate(delta);
-      return;
-    }
-  }
-  Sample first;
-  first.mask = 0;
-  first.accumulate(delta);
-  phases_.emplace_back(name, first);
-}
-
-std::vector<std::pair<std::string, Sample>> Session::phase_totals() const {
-  MutexLock lock(mutex_);
-  return phases_;
-}
-
-bool phase_snapshot(Sample& out) {
-  if (!counting()) return false;
-  bool ok = false;
-  if (Session* s = detail::pin()) {
-    if (s->available()) {
-      out = s->read_total();
-      ok = out.mask != 0;
-    }
-    detail::unpin();
-  }
-  return ok;
-}
-
-void note_phase(const char* name, const Sample& delta) {
-  if (Session* s = detail::pin()) {
-    s->note_phase(name, delta);
-    detail::unpin();
-  }
-}
-
-bool thread_sample(Sample& out) {
-  if (!counting()) return false;
-  bool ok = false;
-  if (Session* s = detail::pin()) {
-    if (s->available()) ok = s->read_current_thread(out);
-    detail::unpin();
-  }
-  return ok;
-}
 
 }  // namespace rla::obs::perf

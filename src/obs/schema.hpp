@@ -87,7 +87,7 @@ namespace rla::obs::schema {
 
 /// Trace-span (PhaseScope) names: the gemm driver's phases. The Chrome-trace
 /// "cat" labels (task/spawn/steal/sync) are event kinds, not phase names,
-/// and live in collector.cpp.
+/// and live in session.cpp.
 #define RLA_SPAN_SCHEMA(X)                                                     \
   X("convert.in")                                                              \
   X("compute")                                                                 \

@@ -11,7 +11,7 @@
 // metrics series or a flight-recorder bundle is then a key match, not
 // guesswork.
 //
-// The ambient (thread-local) id lives in collector.cpp next to the other
+// The ambient (thread-local) id lives in session.cpp next to the other
 // per-thread observability state; this header only mints.
 
 #include <atomic>

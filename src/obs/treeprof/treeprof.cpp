@@ -1,11 +1,8 @@
 #include "obs/treeprof/treeprof.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <thread>
-#include <unordered_map>
 
-#include "obs/collector.hpp"
+#include "obs/session.hpp"
 #include "util/env.hpp"
 
 namespace rla::obs::treeprof {
@@ -46,30 +43,7 @@ int default_max_depth() {
   return d;
 }
 
-// ---- session slot (same pin protocol as Collector / perf::Session) ----------
-
 namespace {
-
-std::atomic<Session*> g_session{nullptr};
-
-/// Attach generations, invalidating per-thread table and frame caches.
-std::atomic<std::uint64_t> g_generation{1};
-
-/// Threads currently inside a session operation; detach() clears the slot
-/// then drains this before returning.
-std::atomic<std::uint64_t> g_pins{0};
-
-Session* pin() noexcept {
-  g_pins.fetch_add(1, std::memory_order_seq_cst);
-  Session* s = g_session.load(std::memory_order_seq_cst);
-  if (s == nullptr) {
-    g_pins.fetch_sub(1, std::memory_order_seq_cst);
-    return nullptr;
-  }
-  return s;
-}
-
-void unpin() noexcept { g_pins.fetch_sub(1, std::memory_order_seq_cst); }
 
 std::int64_t now_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -79,7 +53,7 @@ std::int64_t now_ns() noexcept {
 
 // ---- per-thread frame stack -------------------------------------------------
 
-/// One open recursion-node frame. Mirrors the Collector's frame discipline:
+/// One open recursion-node frame. Mirrors the span probe's frame discipline:
 /// only the top frame has an open exclusive segment; pushes close the
 /// parent's segment, pops reopen it unless a wait paused it.
 struct Frame {
@@ -113,11 +87,14 @@ void close_segment(Frame& f, std::int64_t now) noexcept {
 
 void open_segment(Frame& f, std::int64_t now) noexcept { f.seg_start = now; }
 
-/// Read this thread's counters and charge the interval since the last
-/// baseline to `owner` (null = drop it: idle / scheduler time).
-void pmu_flush(Frame* owner) noexcept {
+/// Read this thread's counters in the pinned session `s` (null = none) and
+/// charge the interval since the last baseline to `owner` (null = drop it:
+/// idle / scheduler time).
+void pmu_flush(Session* s, Frame* owner) noexcept {
+  const perf::CounterGroup* group =
+      s != nullptr && s->has(kPmu) ? s->lane().group.get() : nullptr;
   perf::Sample now_s;
-  if (!perf::thread_sample(now_s)) {
+  if (group == nullptr || !group->read(now_s)) {
     tl_pmu_valid = false;
     return;
   }
@@ -130,131 +107,27 @@ void pmu_flush(Frame* owner) noexcept {
 
 }  // namespace
 
-// ---- Session ----------------------------------------------------------------
-
-struct Session::Table {
-  /// Single writer (the owning thread); fold() reads after detach()'s
-  /// quiescence barrier.
-  std::unordered_map<std::uint64_t, NodeStats> map;
-};
-
-namespace {
-thread_local Session::Table* tl_table = nullptr;
-thread_local std::uint64_t tl_table_gen = 0;
-}  // namespace
-
-Session::Session(int max_depth) : max_depth_(max_depth) {
-  if (max_depth_ < 0) max_depth_ = 0;
-  if (max_depth_ > kMaxPathDepth) max_depth_ = kMaxPathDepth;
-}
-
-Session::~Session() { detach(); }
-
-bool Session::try_attach() {
-  Session* expected = nullptr;
-  if (!g_session.compare_exchange_strong(expected, this,
-                                         std::memory_order_seq_cst)) {
-    return false;
-  }
-  gen_ = g_generation.fetch_add(1, std::memory_order_seq_cst) + 1;
-  attached_ = true;
-  detail::g_armed.store(true, std::memory_order_seq_cst);
-  return true;
-}
-
-void Session::detach() {
-  if (!attached_) return;
-  detail::g_armed.store(false, std::memory_order_seq_cst);
-  Session* expected = this;
-  g_session.compare_exchange_strong(expected, nullptr,
-                                    std::memory_order_seq_cst);
-  while (g_pins.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
-  }
-  attached_ = false;
-}
-
-Session::Table* Session::table_for_current_thread() {
-  if (tl_table != nullptr && tl_table_gen == gen_) return tl_table;
-  MutexLock lock(mutex_);
-  tables_.push_back(std::make_unique<Table>());
-  tl_table = tables_.back().get();
-  tl_table_gen = gen_;
-  return tl_table;
-}
-
-std::vector<Node> Session::fold() const {
-  std::unordered_map<std::uint64_t, NodeStats> merged;
-  {
-    MutexLock lock(mutex_);
-    for (const auto& table : tables_) {
-      for (const auto& [path, stats] : table->map) {
-        NodeStats& n = merged[path];
-        n.time_ns += stats.time_ns;
-        n.flops += stats.flops;
-        n.tasks += stats.tasks;
-        n.hw.accumulate(stats.hw);
-      }
-    }
-  }
-  std::vector<Node> out;
-  out.reserve(merged.size());
-  for (const auto& [path, stats] : merged) out.push_back({path, stats});
-  std::sort(out.begin(), out.end(), [](const Node& a, const Node& b) {
-    const int da = path_depth(a.path);
-    const int db = path_depth(b.path);
-    return da != db ? da < db : a.path < b.path;
-  });
-  return out;
-}
-
-namespace detail {
-std::atomic<bool> g_armed{false};
-}  // namespace detail
-
 // ---- scopes -----------------------------------------------------------------
-
-namespace {
-
-/// Flush a finished frame into the armed session's per-thread table,
-/// dropping it when the session changed since the frame opened.
-void flush_to_table(const Frame& f) {
-  Session* s = pin();
-  if (s == nullptr) return;
-  if (s->generation() == f.gen) {
-    Session::Table* t = s->table_for_current_thread();
-    NodeStats& n = t->map[f.path];
-    n.time_ns += f.excl_ns;
-    n.flops += f.flops;
-    n.tasks += f.tasks;
-    n.hw.accumulate(f.hw);
-  }
-  unpin();
-}
-
-}  // namespace
 
 NodeScope::NodeScope(std::uint64_t path) noexcept {
   if (!armed()) return;
-  Session* s = pin();
-  if (s == nullptr) return;
-  const int depth = path_depth(path);
-  if (depth > s->max_depth()) {
+  const obs::detail::Pin s;
+  if (!s || !s->has(kTree)) return;
+  if (path_depth(path) > s->tree_max_depth()) {
     // Deeper than the frame cap: the cost rolls up into the enclosing
     // frame; only the task tally records this node ran.
     if (!tl_stack.empty() && tl_stack.back().gen == s->generation()) {
       tl_stack.back().tasks += 1;
     }
-    unpin();
     return;
   }
   const std::int64_t now = now_ns();
   if (!tl_stack.empty()) {
     Frame& top = tl_stack.back();
     close_segment(top, now);
-    pmu_flush(top.paused ? nullptr : &top);
+    pmu_flush(s.get(), top.paused ? nullptr : &top);
   } else {
-    pmu_flush(nullptr);  // rebaseline: prior interval belongs to no frame
+    pmu_flush(s.get(), nullptr);  // rebaseline: prior interval belongs to no frame
   }
   Frame f;
   f.path = path;
@@ -264,7 +137,6 @@ NodeScope::NodeScope(std::uint64_t path) noexcept {
   f.tasks = 1;
   tl_stack.push_back(f);
   open_ = true;
-  unpin();
 }
 
 NodeScope::~NodeScope() {
@@ -273,14 +145,20 @@ NodeScope::~NodeScope() {
   Frame f = tl_stack.back();
   tl_stack.pop_back();
   close_segment(f, now);
-  pmu_flush(&f);
-  if (obs::armed()) {
-    obs::detail::node_event(f.path, path_depth(f.path), f.start_ns,
+  const obs::detail::Pin s;
+  pmu_flush(s.get(), &f);
+  // Dropped when the session changed since the frame opened.
+  if (s && s->generation() == f.gen) {
+    obs::detail::node_event(*s.get(), f.path, path_depth(f.path), f.start_ns,
                             now - f.start_ns,
                             static_cast<std::int64_t>(f.excl_ns), f.flops,
                             f.hw);
+    NodeStats& n = s->lane().tree[f.path];
+    n.time_ns += f.excl_ns;
+    n.flops += f.flops;
+    n.tasks += f.tasks;
+    n.hw.accumulate(f.hw);
   }
-  flush_to_table(f);
   if (!tl_stack.empty()) {
     Frame& top = tl_stack.back();
     if (!top.paused) open_segment(top, now);
@@ -299,7 +177,8 @@ void wait_begin() noexcept {
   Frame& top = tl_stack.back();
   if (top.paused) return;
   close_segment(top, now_ns());
-  pmu_flush(&top);
+  const obs::detail::Pin s;
+  pmu_flush(s.get(), &top);
   top.paused = true;
 }
 
@@ -309,7 +188,8 @@ void wait_end() noexcept {
   if (!top.paused) return;
   top.paused = false;
   open_segment(top, now_ns());
-  pmu_flush(nullptr);  // waited interval belongs to no frame
+  const obs::detail::Pin s;
+  pmu_flush(s.get(), nullptr);  // waited interval belongs to no frame
 }
 
 }  // namespace detail

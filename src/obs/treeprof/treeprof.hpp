@@ -3,24 +3,25 @@
 // Recursion-resolved profiler: per-depth / per-quadrant cost attribution
 // (DESIGN.md §16).
 //
-// While a Session is armed, every executed node of the quadrant recursion
+// While an obs::Session is armed for the tree probe (obs/session.hpp), every
+// executed node of the quadrant recursion
 // opens a NodeScope keyed by its *quadrant path* — the sequence of child
 // indices from the root, packed into a uint64 (see path encoding below) —
 // and the scope attributes to that key:
 //
 //   * exclusive wall time (nested children and group waits pause the clock,
-//     mirroring the trace Collector's frame discipline);
+//     mirroring the span probe's frame discipline);
 //   * FLOPs (leaf multiplies and block-add traffic, via add_flops);
 //   * task counts (one per recursion node or forked add task);
 //   * PMU deltas — the calling thread's own perf counter group is read at
 //     every frame transition and the delta charged to the frame that owned
-//     the interval (perf::thread_sample; empty when no perf session counts).
+//     the interval (empty when the session does not count).
 //
-// Aggregation is lock-free per worker: each thread owns a single-writer
-// table registered with the session once (under a mutex), updated without
-// synchronization, and folded after detach()'s quiescence barrier.
+// Aggregation is lock-free per worker: each thread's lane holds a
+// single-writer table, updated without synchronization and folded after
+// detach()'s quiescence barrier.
 //
-// Nodes deeper than the session's max_depth do not open frames; their cost
+// Nodes deeper than the session's tree_max_depth do not open frames; their cost
 // rolls up into the nearest ancestor at max_depth. That bounds table size,
 // trace-ring usage and PMU read frequency, and it is what makes the
 // per-depth tables reconcile: every level's exclusive sums add up to the
@@ -31,19 +32,13 @@
 // kRootPath == 1, child 2 of the root == 0b1'010, and depth is the digit
 // count. Rendered as "d<depth>" for the root and "d<depth>:<digits>"
 // otherwise, e.g. "d3:021".
-//
-// One Session is armed at a time (process-global slot, same protocol as the
-// trace Collector and the perf Session); a second arming attempt fails and
-// the caller degrades with a "treeprof:busy" trail entry.
 
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/hooks.hpp"
 #include "obs/perf.hpp"
-#include "support/sync.hpp"
 
 namespace rla::obs::treeprof {
 
@@ -71,7 +66,7 @@ unsigned path_digit(std::uint64_t path, int i) noexcept;
 std::string path_key(std::uint64_t path);
 
 /// Per-node aggregate. `hw` holds exclusive scaled PMU deltas (mask == 0
-/// when no perf session was counting on the attributing threads).
+/// when the session was not counting on the attributing threads).
 struct NodeStats {
   std::uint64_t time_ns = 0;  ///< exclusive wall time
   std::uint64_t flops = 0;
@@ -89,49 +84,12 @@ struct Node {
 /// [0, kMaxPathDepth], default kDefaultMaxDepth.
 int default_max_depth();
 
-/// An armed tree-profiling session: owns one single-writer table per
-/// participating thread.
-class Session {
- public:
-  /// Per-thread open-addressed aggregate table (definition in the .cpp;
-  /// single writer, read by fold() after detach quiescence).
-  struct Table;
-
-  explicit Session(int max_depth = default_max_depth());
-  ~Session();
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-
-  /// Arm this session. False if another session is armed (the caller should
-  /// proceed unprofiled and note "treeprof:busy").
-  bool try_attach();
-
-  /// Disarm; blocks until every in-flight scope operation has left the
-  /// session. fold() is stable after this returns. Idempotent.
-  void detach();
-
-  bool attached() const noexcept { return attached_; }
-  int max_depth() const noexcept { return max_depth_; }
-  std::uint64_t generation() const noexcept { return gen_; }
-
-  /// Merge every thread table into one list, sorted by (depth, path).
-  /// Call after detach().
-  std::vector<Node> fold() const;
-
-  /// Internal (scope flush path, under the pin protocol): the calling
-  /// thread's table, registering one on first use.
-  Table* table_for_current_thread();
-
- private:
-  int max_depth_;
-  std::uint64_t gen_ = 0;
-  bool attached_ = false;
-  mutable Mutex mutex_;  // lock-level: registry
-  std::vector<std::unique_ptr<Table>> tables_ RLA_GUARDED_BY(mutex_);
-};
-
-// armed() and the detail::wait_begin/wait_end brackets TaskGroup::wait()
-// calls live in obs/hooks.hpp (inline flag check) and treeprof.cpp.
+namespace detail {
+/// TaskGroup::wait() brackets (WaitScope, via session.cpp): pause and resume
+/// the calling thread's innermost frame.
+void wait_begin() noexcept;
+void wait_end() noexcept;
+}  // namespace detail
 
 /// RAII frame for one recursion node (or one forked add task attributed to
 /// its node). Construct *after* any delegation/fallback check so a node

@@ -5,7 +5,6 @@
 #include <system_error>
 
 #include "analysis/numerics/fptrap.hpp"
-#include "obs/perf.hpp"
 #include "robust/fault.hpp"
 
 namespace rla {
@@ -148,10 +147,6 @@ WorkerPool::TaskNode* WorkerPool::try_acquire(int self) {
 
 void WorkerPool::run_node(TaskNode* node) {
   TaskGroup* group = node->group;
-  // Late-join hook for HW counting: the first task a thread runs under an
-  // armed perf session opens that thread's counter group (one relaxed load
-  // otherwise). Covers pool workers and helping/external threads alike.
-  obs::perf::on_thread_work();
   {
     // Scope must close before finish(): the waiter may return from wait()
     // and destroy the group — and its span accumulator — as soon as

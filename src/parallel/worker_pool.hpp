@@ -265,7 +265,7 @@ class TaskGroup {
     pending_.fetch_add(1, std::memory_order_relaxed);
     auto* node =
         new WorkerPool::TaskNode{std::forward<F>(fn), this, seq, priority_, {}};
-    // Request identity propagates unconditionally (collector armed or not):
+    // Request identity propagates unconditionally (session armed or not):
     // the executing worker restores it around the task body, so profiles and
     // flight-recorder events keep their request scope across steals.
     node->tag.trace = obs::current_trace_id();

@@ -626,7 +626,7 @@ void GemmService::shutdown() {
 void GemmService::fold_runtime_metrics() const {
   // Fold the point-in-time surfaces (queue, arena, scheduler, SLO) into the
   // registry before a snapshot. The sched.total.* and exceptions_swallowed
-  // names match what the per-call collector exports, so trace_summary.py
+  // names match what the per-call session exports, so trace_summary.py
   // reads both without a sched_snapshot call.
   obs::Registry& reg = registry_;
   {

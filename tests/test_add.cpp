@@ -132,39 +132,6 @@ TEST_P(AddTest, MultiOperandAccumulators) {
   }
 }
 
-TEST_P(AddTest, BlockCopyAcrossOrientations) {
-  const Curve c = GetParam();
-  TiledMatrix x = filled(c, 1.0, 0.0);
-  const std::uint32_t h = kN / 2;
-  for (int qd = 0; qd < 4; ++qd) {
-    for (int qs = 0; qs < 4; ++qs) {
-      TiledMatrix z(geom(c));
-      z.zero();
-      block_copy(z.root().quadrant(qd), x.root().quadrant(qs));
-      const std::uint32_t di = origin(qd, true), dj = origin(qd, false);
-      const std::uint32_t si = origin(qs, true), sj = origin(qs, false);
-      for (std::uint32_t u = 0; u < h; u += 3) {
-        for (std::uint32_t v = 0; v < h; v += 3) {
-          ASSERT_EQ(z.at(di + u, dj + v), x.at(si + u, sj + v)) << curve_name(c);
-        }
-      }
-    }
-  }
-}
-
-TEST_P(AddTest, BlockZero) {
-  const Curve c = GetParam();
-  TiledMatrix x = filled(c, 1.0, 1.0);
-  block_zero(x.root().quadrant(kSW));
-  const std::uint32_t h = kN / 2;
-  for (std::uint32_t u = 0; u < h; ++u) {
-    for (std::uint32_t v = 0; v < h; ++v) {
-      ASSERT_EQ(x.at(h + u, v), 0.0);
-      ASSERT_NE(x.at(u, v), 0.0);  // other quadrants untouched
-    }
-  }
-}
-
 TEST_P(AddTest, TempRootAgainstQuadrantOrientation) {
   // The algorithms add original-matrix quadrants into orientation-0
   // temporaries; emulate S1 = A11 + A22 and check logically.

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/rla.hpp"
+#include "obs/session.hpp"
 
 namespace rla::testing {
 
@@ -63,12 +64,12 @@ inline std::string sanitize(std::string_view text) {
 /// cap): leaf products plus one FLOP per element of every add pass.
 template <typename F>
 std::uint64_t treeprof_flops(F&& run) {
-  obs::treeprof::Session session(obs::treeprof::kMaxPathDepth);
+  obs::Session session(obs::kTree, obs::treeprof::kMaxPathDepth);
   EXPECT_TRUE(session.try_attach());
   run();
   session.detach();
   std::uint64_t total = 0;
-  for (const obs::treeprof::Node& node : session.fold()) total += node.stats.flops;
+  for (const obs::treeprof::Node& node : session.fold().tree) total += node.stats.flops;
   return total;
 }
 

@@ -1,7 +1,8 @@
 // Tests of the observability subsystem (src/obs): scheduler counters, the
 // task-span tracer and its Chrome-trace export, GemmProfile JSON round-trip,
-// the disabled-path overhead guard, and composition with fault injection,
-// cancellation and the analysis modes.
+// the disabled-path overhead guard, the one session slot shared by every
+// probe, and composition with fault injection, cancellation and the
+// analysis modes.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,7 @@
 #include <string>
 
 #include "core/gemm.hpp"
-#include "obs/collector.hpp"
+#include "obs/session.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/worker_pool.hpp"
@@ -106,16 +107,24 @@ TEST(SchedStats, SnapshotHasOneSlotPerWorkerPlusExternal) {
   }
   EXPECT_EQ(ran.load(), 64);
   EXPECT_EQ(pool.sched_snapshot().size(), pool.thread_count() + 1u);
-  // The aggregate accessors are sums over the snapshot slots.
+  // The aggregate accessors are sums over the snapshot slots. Idle workers
+  // keep counting failed steals and wake-ups while this runs, so the
+  // snapshot is bracketed by aggregate reads; the counters never decrease.
+  const std::uint64_t failed_before = pool.failed_steals();
+  const std::uint64_t wakeups_before = pool.idle_wakeups();
+  const std::uint64_t pops_before = pool.injection_pops();
   std::uint64_t failed = 0, wakeups = 0, pops = 0;
   for (const auto& s : pool.sched_snapshot()) {
     failed += s.failed_steals;
     wakeups += s.idle_wakeups;
     pops += s.injection_pops;
   }
-  EXPECT_EQ(failed, pool.failed_steals());
-  EXPECT_EQ(wakeups, pool.idle_wakeups());
-  EXPECT_EQ(pops, pool.injection_pops());
+  EXPECT_LE(failed_before, failed);
+  EXPECT_LE(failed, pool.failed_steals());
+  EXPECT_LE(wakeups_before, wakeups);
+  EXPECT_LE(wakeups, pool.idle_wakeups());
+  EXPECT_LE(pops_before, pops);
+  EXPECT_LE(pops, pool.injection_pops());
 }
 
 // ---------------------------------------------------------------------------
@@ -256,13 +265,18 @@ TEST(ProfileJson, DefaultProfileRoundTripsAndRejectsGarbage) {
 // Tracer: disabled-path guard, measured run, trace file, env arming.
 
 TEST(Tracer, UntracedRunCreatesNoBuffers) {
-  const std::uint64_t before = obs::Collector::buffers_created();
+  // A lane owns every per-thread allocation of every probe (trace ring,
+  // counter group, tree table), so an unarmed run must register none.
+  const std::uint64_t before = obs::Session::lanes_created();
   GemmConfig cfg;
   cfg.threads = 2;
   const GemmProfile profile = run_profiled(96, cfg);
   EXPECT_FALSE(profile.measured);
   EXPECT_EQ(profile.tasks_traced, 0u);
-  EXPECT_EQ(obs::Collector::buffers_created(), before);
+  EXPECT_FALSE(profile.hw_measured);
+  EXPECT_FALSE(profile.tree_measured);
+  EXPECT_TRUE(profile.tree_profile.empty());
+  EXPECT_EQ(obs::Session::lanes_created(), before);
 }
 
 TEST(Tracer, MeasuredRunReportsParallelismAndSchedStats) {
@@ -322,7 +336,7 @@ TEST(Tracer, RlaTraceEnvironmentVariableArmsTheCollector) {
 }
 
 TEST(Tracer, SecondCollectorRunsUntracedWithBusyTrail) {
-  obs::Collector outer;
+  obs::Session outer(obs::kSpans);
   ASSERT_TRUE(outer.try_attach());
   GemmConfig cfg;
   cfg.threads = 2;
@@ -333,12 +347,44 @@ TEST(Tracer, SecondCollectorRunsUntracedWithBusyTrail) {
   EXPECT_TRUE(trail_contains(profile, "trace:busy"));
 }
 
+TEST(Session, AnyArmedProbeRefusesEveryOtherAttach) {
+  GemmConfig cfg;
+  cfg.threads = 2;
+  cfg.layout = Curve::ZMorton;
+  cfg.measure = true;
+  cfg.hw_counters = true;
+  cfg.tree_profile = true;
+  for (const unsigned probe : {obs::kSpans, obs::kPmu, obs::kTree}) {
+    SCOPED_TRACE("outer probe " + std::to_string(probe));
+    obs::Session outer(probe);
+    ASSERT_TRUE(outer.try_attach());
+    const GemmProfile busy = run_profiled(96, cfg);
+    outer.detach();
+    EXPECT_FALSE(busy.measured);
+    EXPECT_FALSE(busy.hw_measured);
+    EXPECT_FALSE(busy.tree_measured);
+    EXPECT_TRUE(trail_contains(busy, "trace:busy"));
+    EXPECT_TRUE(trail_contains(busy, "perf:busy"));
+    EXPECT_TRUE(trail_contains(busy, "treeprof:busy"));
+
+    // Slot released: the same call records spans and the tree, and counts
+    // or says why the counters could not open.
+    const GemmProfile clean = run_profiled(96, cfg);
+    EXPECT_TRUE(clean.measured);
+    EXPECT_TRUE(clean.tree_measured);
+    EXPECT_FALSE(clean.tree_profile.empty());
+    EXPECT_TRUE(clean.hw_measured ||
+                trail_contains(clean, "perf:unavailable:"));
+    EXPECT_FALSE(trail_contains(clean, ":busy"));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Composition: cancellation, injected faults, analysis modes.
 
 TEST(Tracer, BalancedUnderTaskGroupCancellation) {
-  obs::Collector collector;
-  ASSERT_TRUE(collector.try_attach());
+  obs::Session session(obs::kSpans);
+  ASSERT_TRUE(session.try_attach());
   {
     obs::ScopedRoot root("cancel-test");
     WorkerPool pool(2);
@@ -353,17 +399,18 @@ TEST(Tracer, BalancedUnderTaskGroupCancellation) {
     EXPECT_THROW(group.wait(), std::runtime_error);
     EXPECT_TRUE(cancel.load());
   }
-  collector.detach();
+  session.detach();
   // Every span closed despite the throw: frames balanced, work recorded,
   // and the export is still well-formed JSON.
-  EXPECT_GT(collector.tasks(), 0u);
-  EXPECT_GE(collector.work_ns(), 0);
-  EXPECT_GT(collector.span_ns(), 0);
+  const obs::Session::Fold fold = session.fold();
+  EXPECT_GT(fold.tasks, 0u);
+  EXPECT_GE(fold.work_ns, 0);
+  EXPECT_GT(fold.span_ns, 0);
   std::ostringstream out;
-  collector.write_chrome_trace(out);
+  session.write_chrome_trace(fold, out);
   const TraceShape shape = parse_trace(out.str());
   ASSERT_TRUE(shape.valid);
-  EXPECT_EQ(shape.tasks, collector.tasks());
+  EXPECT_EQ(shape.tasks, fold.tasks);
 }
 
 TEST(Tracer, TraceSurvivesInjectedTaskFault) {
@@ -379,14 +426,14 @@ TEST(Tracer, TraceSurvivesInjectedTaskFault) {
   EXPECT_THROW(gemm(96, 96, 96, 1.0, a.data(), a.ld(), Op::None, b.data(),
                     b.ld(), Op::None, 0.0, c.data(), c.ld(), cfg, &profile),
                Error);
-  // The driver's exit path still detached the collector and wrote the
+  // The driver's exit path still detached the session and wrote the
   // trace; spans closed despite the unwinding tasks.
   EXPECT_TRUE(profile.measured);
   EXPECT_EQ(profile.trace_file, path);
   EXPECT_TRUE(parse_trace(slurp(path)).valid);
   std::remove(path.c_str());
-  // The collector slot was released: a following traced run attaches fine.
-  obs::Collector probe;
+  // The session slot was released: a following traced run attaches fine.
+  obs::Session probe(obs::kSpans);
   EXPECT_TRUE(probe.try_attach());
   probe.detach();
 }

@@ -22,7 +22,7 @@
 
 #include "cachesim/hierarchy.hpp"
 #include "core/gemm.hpp"
-#include "obs/perf.hpp"
+#include "obs/session.hpp"
 #include "robust/fault.hpp"
 #include "test_common.hpp"
 #include "trace/access_logger.hpp"
@@ -167,7 +167,7 @@ TEST(PerfUnavailable, FaultInjectedOpenDegradesAndGemmStaysCorrect) {
 
 TEST(PerfUnavailable, BusySessionDegradesConcurrentCall) {
   // Hold the process-wide session slot, as a concurrent counted gemm would.
-  obs::perf::Session outer;
+  obs::Session outer(obs::kPmu);
   ASSERT_TRUE(outer.try_attach());
 
   GemmConfig cfg;
@@ -179,28 +179,28 @@ TEST(PerfUnavailable, BusySessionDegradesConcurrentCall) {
 }
 
 TEST(PerfUnavailable, AvailableFlagSafeToReadConcurrently) {
-  // Regression: Session::available_ was a plain bool that try_attach wrote
+  // Regression: the availability flag was a plain bool that try_attach wrote
   // *after* publishing the session through the process-wide slot, so a
   // concurrent reader reaching the session via the slot raced the write.
   // It is now an atomic whose release store pairs with the acquire load in
-  // available(); hammer the publication from readers across attach/detach
-  // cycles (under TSan this is the reproducer, elsewhere a liveness smoke).
-  obs::perf::Session session;
+  // pmu_available(); hammer the publication from readers (phase scopes read
+  // the counters through the slot) across attach/detach cycles (under TSan
+  // this is the reproducer, elsewhere a liveness smoke).
+  obs::Session session(obs::kPmu);
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
-      obs::perf::Sample snap;
       while (!stop.load(std::memory_order_relaxed)) {
-        (void)session.available();
-        (void)obs::perf::phase_snapshot(snap);
+        (void)session.pmu_available();
+        obs::PhaseScope phase("compute");
       }
     });
   }
-  bool last_published = session.available();
+  bool last_published = session.pmu_available();
   for (int i = 0; i < 200; ++i) {
     if (session.try_attach()) {
-      last_published = session.available();
+      last_published = session.pmu_available();
       session.detach();
     }
   }
@@ -209,7 +209,7 @@ TEST(PerfUnavailable, AvailableFlagSafeToReadConcurrently) {
   // detach() keeps the flag at its published value so per-thread totals
   // stay readable; the last attach decided it (either way on a PMU-less
   // host, which is why this is not a hard-coded expectation).
-  EXPECT_EQ(session.available(), last_published);
+  EXPECT_EQ(session.pmu_available(), last_published);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/gemm.hpp"
-#include "obs/treeprof/treeprof.hpp"
+#include "obs/session.hpp"
 #include "robust/error.hpp"
 #include "test_common.hpp"
 
@@ -120,7 +120,7 @@ TEST(TreeprofGemm, DisarmedRunLeavesTreeEmpty) {
 }
 
 TEST(TreeprofGemm, BusySlotDegradesToUnprofiled) {
-  treeprof::Session outer;
+  obs::Session outer(obs::kTree);
   ASSERT_TRUE(outer.try_attach());
   GemmConfig cfg;
   cfg.layout = Curve::ZMorton;

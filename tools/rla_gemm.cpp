@@ -218,10 +218,10 @@ int run_served(const rla::CliArgs& args, std::uint32_t m, std::uint32_t n,
     req.ldc = m;
     req.cfg = base_cfg;
     if (i > 0) {
-      // One trace collector per process: concurrent siblings would only
-      // record trace:busy (and read as spuriously Degraded). The first
-      // request carries the measurement; the rest run bare. Same for the
-      // one-armed treeprof session (treeprof:busy).
+      // One instrumentation session per process: concurrent siblings would
+      // only record trace:busy / treeprof:busy (and read as spuriously
+      // Degraded). The first request carries the measurement; the rest run
+      // bare.
       req.cfg.trace_path.clear();
       req.cfg.measure = false;
       req.cfg.hw_counters = false;
